@@ -7,7 +7,8 @@ Usage (from the checkout root, with ``src`` on ``PYTHONPATH``)::
 The pickled inputs come from :func:`workloads.generate` on stdin.  The
 process times its own set-up (importing ``repro``, building the session
 or spawning ``repro serve``, the warm-up ops), then in ``run`` and
-``trace`` mode runs ops for ``seconds`` and checks every output.  It
+``trace`` mode runs ops for ``seconds``, runs untimed whatever inputs
+of the fixed quality set the window missed, and checks every output.  It
 prints one JSON line with what it measured.  ``trace`` mode installs
 the span wrappers of :mod:`spans` before anything is built, so forked
 workers and the server child are traced too.
@@ -51,16 +52,22 @@ def main(argv: list[str]) -> int:
             result["setup_s"] += import_s
         result["warmup_digest"] = workload.warmup_digest
         if mode != "setup":
+            workload.prime()
             pid = os.getpid()
             before = system.tree_cpu_seconds(pid)
             result.update(workload.run(seconds))
             result["cpu_s"] = system.cpu_delta(
                 before, system.tree_cpu_seconds(pid)
             )
-            result["peak_rss_mb"] = system.peak_rss_mb(pid)
             result["counters"] = workload.counters()
             result["resolved"] = workload.resolved()
+            workload.complete()
+            # After the quality set is complete, so that every run has
+            # held the same inputs however far its window got.
+            result["peak_rss_mb"] = system.peak_rss_mb(pid)
             workload.check()
+            result["modularity_mean"] = workload.modularity_mean()
+            result["quality_inputs"] = len(workload.quality_keys)
     finally:
         workload.close()
     if mode != "setup":

@@ -5,62 +5,19 @@ from __future__ import annotations
 import json
 import math
 import statistics
+from pathlib import Path
 from typing import Any
 
+#: ``BENCHMARK.json`` beside this directory: workloads and metrics.
+BENCHMARK = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
+)
+
 #: End-to-end metrics (untraced runs): name -> unit.
-END_TO_END = {
-    "setup_s": "s",
-    "ops_per_s": "1/s",
-    "latency_p50_ms": "ms",
-    "modularity_mean": "Q",
-    "cpu_s_per_op": "s",
-    "peak_rss_mb": "MiB",
-}
+END_TO_END = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
 
 #: Per-layer metrics (traced runs): name -> unit.
-PER_LAYER = {
-    "graphs.coarsen_ms": "ms",
-    "graphs.apply_updates_ms": "ms",
-    "graphs.levels": "count",
-    "qubo.build_ms": "ms",
-    "qubo.patch_ms": "ms",
-    "qubo.repatch_ms": "ms",
-    "qubo.decode_ms": "ms",
-    "qubo.variables": "count",
-    "qhd.solve_ms": "ms",
-    "qhd.evolve_ms": "ms",
-    "qhd.measure_ms": "ms",
-    "qhd.polish_ms": "ms",
-    "qhd.steps": "count",
-    "qhd.pool_hit_ratio": "ratio",
-    "qhd.engine_setup_ms": "ms",
-    "solvers.greedy_ms": "ms",
-    "community.polish_ms": "ms",
-    "community.uncoarsen_ms": "ms",
-    "community.modularity_ms": "ms",
-    "community.refine_moves": "count",
-    "community.warm_win_ratio": "ratio",
-    "api.build_ms": "ms",
-    "api.fanout_efficiency": "ratio",
-    "api.wire_bytes_per_op": "B",
-    "api.stream_overhead_ms": "ms",
-    "server.overhead_ms": "ms",
-    "server.parse_ms": "ms",
-    "server.encode_ms": "ms",
-    "server.shed": "count",
-    "self.graphs_ms": "ms",
-    "self.qubo_ms": "ms",
-    "self.qhd_ms": "ms",
-    "self.solvers_ms": "ms",
-    "self.community_ms": "ms",
-    "self.api_ms": "ms",
-    "self.server_ms": "ms",
-    "self.other_ms": "ms",
-    "self.op_wall_ms": "ms",
-    "trace.overhead_ms": "ms",
-    "trace.remote_spans": "count",
-    "env.blas_threads": "count",
-}
+PER_LAYER = {m["name"]: m["unit"] for m in BENCHMARK["per_layer"]}
 
 #: A tail percentile is reported only with this many samples beyond it.
 MIN_TAIL = 10
@@ -96,7 +53,7 @@ def sample_counts(setups: list[float], run: dict[str, Any]) -> dict[str, int]:
         "setup_s": len(setups),
         "ops_per_s": run["ops"],
         "latency_p50_ms": len(run["latencies_ms"]),
-        "modularity_mean": run["ops"],
+        "modularity_mean": run["quality_inputs"],
         "cpu_s_per_op": run["ops"],
         "peak_rss_mb": 1,
     }

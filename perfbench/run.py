@@ -35,20 +35,14 @@ from typing import Any
 HERE = Path(__file__).resolve().parent
 ROOT = Path.cwd()
 
-#: Extra processes that only set up and warm up; with the measuring
-#: process they give three set-up samples per run.
-SETUP_PROBES = 2
+#: Extra processes per workload that only set up and warm up; with the
+#: measuring process they give the set-up samples of a run.  Set-up
+#: time is mostly interpreter start and imports, which swing by 20-40%
+#: between processes, so cheap set-ups take more samples.
+SETUP_PROBES = {"multilevel_batch": 2, "serve_detect": 8, "stream_updates": 8}
 
 #: Every run finishes well inside the three minutes a run may take.
 DEADLINE_S = 170.0
-
-#: BLAS/OpenMP threads of every workload process.  As shipped (the
-#: variables unset) OpenBLAS starts one thread per core in every
-#: process; with process workers that oversubscribes the cores, and
-#: even single-process workloads swing 10-30% between runs, too much
-#: for any bound.  README.md records both settings; ``--as-shipped``
-#: re-measures the unset one.
-BLAS_THREADS = 1
 
 
 class RunError(RuntimeError):
@@ -70,14 +64,13 @@ def _stop_group(pgid: int) -> None:
         time.sleep(0.05)
 
 
-def _child_env(as_shipped: bool) -> dict[str, str]:
+def _child_env() -> dict[str, str]:
+    """The program runs as shipped: BLAS/OpenMP thread variables unset."""
     import system
 
     env = {
         k: v for k, v in os.environ.items() if k not in system.THREAD_VARS
     }
-    if not as_shipped:
-        env.update(dict.fromkeys(system.THREAD_VARS, str(BLAS_THREADS)))
     env["PYTHONPATH"] = str(ROOT / "src")
     return env
 
@@ -88,14 +81,13 @@ def launch(
     seconds: float,
     payload: bytes,
     deadline: float,
-    as_shipped: bool = False,
 ) -> dict[str, Any]:
     """Run one workload process to completion and return its result."""
     proc = subprocess.Popen(
         [sys.executable, str(HERE / "child.py"), name, mode, str(seconds)],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
-        env=_child_env(as_shipped),
+        env=_child_env(),
         cwd=ROOT,
         start_new_session=True,
     )
@@ -116,9 +108,11 @@ def launch(
 
 
 def _fingerprint(payload: bytes) -> str:
-    """Identifies the inputs and the program source that saw them."""
+    """Identifies the inputs, the program source that saw them and the
+    harness that digested its outputs."""
     digest = hashlib.sha256(payload)
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+    sources = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    for path in sources + sorted(HERE.glob("*.py")):
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
 
@@ -155,7 +149,7 @@ def _check_digests(
 
 
 def run_workload(
-    name: str, seed: int, seconds: float, trace: bool, as_shipped: bool
+    name: str, seed: int, seconds: float, trace: bool
 ) -> tuple[bool, int, int, dict[str, float], list[str]]:
     """One benchmark run: ``(correct, attempted, failed, metrics, lines)``."""
     import report
@@ -166,7 +160,7 @@ def run_workload(
     fingerprint = _fingerprint(payload)
 
     def run(mode: str) -> dict[str, Any]:
-        return launch(name, mode, seconds, payload, deadline, as_shipped)
+        return launch(name, mode, seconds, payload, deadline)
 
     if trace:
         plain, traced = run("run"), run("trace")
@@ -181,7 +175,7 @@ def run_workload(
         counts = None
         checked = runs
     else:
-        probes = [run("setup") for _ in range(SETUP_PROBES)]
+        probes = [run("setup") for _ in range(SETUP_PROBES[name])]
         runs = [run("run")]
         setups = [r["setup_s"] for r in probes + runs]
         metrics = report.end_to_end(setups, runs[0])
@@ -217,11 +211,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--as-shipped",
-        action="store_true",
-        help="leave BLAS/OpenMP thread variables unset (not steady)",
-    )
     args = parser.parse_args(argv)
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
         print(
@@ -244,11 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         try:
             correct, attempted, failed, metrics, lines = run_workload(
-                name,
-                args.seed,
-                args.seconds,
-                bool(args.trace),
-                args.as_shipped,
+                name, args.seed, args.seconds, bool(args.trace)
             )
         except RunError as error:
             print(f"perfbench: {error}", file=sys.stderr)

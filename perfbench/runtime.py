@@ -57,6 +57,16 @@ SPAN_METRICS = (
 #: Concurrent HTTP clients of ``serve_detect`` (closed loop).
 SERVE_CLIENTS = 2
 
+#: ``repro serve`` flags: its defaults but for the executor.  ``auto``
+#: resolves to process workers on a small machine, and with BLAS
+#: threading as shipped those swing up to 4x between runs (README.md,
+#: "Thread policy").
+SERVE_ARGS = ["--port", "0", "--executor", "thread"]
+
+#: Event batches per stream (after the first) whose modularity
+#: ``stream_updates`` reports, however many the timed window reached.
+QUALITY_BATCHES = 4
+
 
 def digest(labels: Any) -> str:
     """Short hash of a partition, for determinism checks."""
@@ -123,7 +133,7 @@ class Output:
 
 
 class Runtime:
-    """Shared loop, checks and layer arithmetic of the four workloads."""
+    """Shared loop, checks and layer arithmetic of the workloads."""
 
     #: Whether importing ``repro`` in this process is program set-up
     #: (not for ``serve_detect``, whose program is the server child).
@@ -142,12 +152,22 @@ class Runtime:
         self.ops = 0
         self.window = (0.0, 0.0)
         self.stats: dict = {}
+        #: Inputs whose modularity is reported: a fixed set, so that
+        #: ``modularity_mean`` does not move with throughput.
+        self.quality_keys: set[int] = set()
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
         raise NotImplementedError
 
     def close(self) -> None:
+        raise NotImplementedError
+
+    def prime(self) -> None:
+        """Untimed preparation between set-up and the timed window."""
+
+    def complete(self) -> None:
+        """Run, untimed, the quality inputs the timed window missed."""
         raise NotImplementedError
 
     def session_stats(self) -> dict:
@@ -190,12 +210,16 @@ class Runtime:
             "ops": self.ops,
             "wall_s": self.window[1] - self.window[0],
             "latencies_ms": [1000.0 * s for s in self.latencies],
-            "modularity_mean": (
-                statistics.fmean(o.modularity for o in self.outputs)
-                if self.outputs
-                else 0.0
-            ),
         }
+
+    def modularity_mean(self) -> float:
+        """Mean modularity over :attr:`quality_keys`, once per input."""
+        by_key = {
+            o.key: o.modularity
+            for o in self.outputs
+            if o.key in self.quality_keys
+        }
+        return statistics.fmean(by_key.values()) if by_key else 0.0
 
     # -- checks ---------------------------------------------------------
     def check(self) -> None:
@@ -310,16 +334,22 @@ class _SessionRuntime(Runtime):
 
 
 class MultilevelBatch(_SessionRuntime):
-    """``Session(executor="auto").detect_batch`` over distinct graphs."""
+    """``Session(executor="thread").detect_batch`` over distinct graphs.
+
+    ``auto`` resolves to process workers on a small machine, and with
+    BLAS threading as shipped those swing up to 4x between runs
+    (README.md, "Thread policy"), so this workload fans out over threads.
+    """
 
     def __init__(self, inputs: dict, tracer: span_lib.Tracer | None) -> None:
         super().__init__(inputs, tracer)
         self.graphs = [Graph.from_arrays(*a) for a in inputs["graphs"]]
         self.batch = int(inputs["batch"])
         self.warmup = [Graph.from_arrays(*a) for a in inputs["warmup"]]
+        self.quality_keys = set(range(len(self.graphs)))
 
     def start(self) -> None:
-        self.session = Session(executor="auto")
+        self.session = Session(executor="thread")
         artifacts = self.session.detect_batch(self.warmup, self.spec)
         self.warmup_digest = digest(
             np.concatenate([a.result.labels for a in artifacts])
@@ -336,6 +366,17 @@ class MultilevelBatch(_SessionRuntime):
                 Output.from_artifact(index, self.graphs[index], artifact)
             )
         return self.batch
+
+    def complete(self) -> None:
+        missing = sorted(self.quality_keys - {o.key for o in self.outputs})
+        if missing:
+            artifacts = self.session.detect_batch(
+                [self.graphs[x] for x in missing], self.spec
+            )
+            self.outputs.extend(
+                Output.from_artifact(x, self.graphs[x], artifact)
+                for x, artifact in zip(missing, artifacts)
+            )
 
     def width(self) -> int:
         return min(self.session.max_workers, self.batch)
@@ -369,7 +410,8 @@ class MultilevelBatch(_SessionRuntime):
         return sum(self.latencies) * self.width() / max(1, self.ops)
 
     def extra_layers(self) -> dict[str, float]:
-        busy = sum(o.total_s for o in self.outputs)
+        # Timed ops only: completion outputs follow them.
+        busy = sum(o.total_s for o in self.outputs[: self.ops])
         return {
             "api.fanout_efficiency": busy
             / max(1e-12, sum(self.latencies) * self.width())
@@ -381,7 +423,9 @@ class StreamUpdates(_SessionRuntime):
 
     Each stream is its own graph with its own seeded event batches;
     an op is one event batch of one stream.  Output keys are
-    ``stream * STREAM_KEY + batch``.
+    ``stream * STREAM_KEY + batch``.  Set-up opens every stream and
+    serves the first one's first batch, which pays its one full QUBO
+    build; the other streams' first batches run untimed after set-up.
     """
 
     STREAM_KEY = 100_000
@@ -392,21 +436,14 @@ class StreamUpdates(_SessionRuntime):
         self.batches = inputs["batches"]
         self.streams: list[Any] = []
         self.next_batch = [0] * len(self.graphs)
+        self.quality_keys = {
+            which * self.STREAM_KEY + batch
+            for which in range(len(self.graphs))
+            for batch in range(1, QUALITY_BATCHES + 1)
+        }
 
-    def start(self) -> None:
-        self.session = Session()
-        warm = []
-        for graph, batches in zip(self.graphs, self.batches):
-            stream = self.session.detect_stream(graph, iter(batches), self.spec)
-            self.streams.append(stream)
-            # Batch 0 is the warm-up: it pays the stream's one full
-            # QUBO build and seeds the warm state.
-            warm.append(next(stream).result.labels)
-        self.next_batch = [1] * len(self.streams)
-        self.warmup_digest = digest(np.concatenate(warm))
-
-    def op(self, i: int) -> int:
-        which = i % len(self.streams)
+    def _advance(self, which: int) -> None:
+        """Serve the next event batch of stream ``which``."""
         artifact = next(self.streams[which])
         batch = self.next_batch[which]
         self.next_batch[which] += 1
@@ -415,7 +452,28 @@ class StreamUpdates(_SessionRuntime):
                 which * self.STREAM_KEY + batch, None, artifact
             )
         )
+
+    def start(self) -> None:
+        self.session = Session()
+        self.streams = [
+            self.session.detect_stream(graph, iter(batches), self.spec)
+            for graph, batches in zip(self.graphs, self.batches)
+        ]
+        self._advance(0)
+        self.warmup_digest = digest(self.outputs[0].labels)
+
+    def prime(self) -> None:
+        for which in range(1, len(self.streams)):
+            self._advance(which)
+
+    def op(self, i: int) -> int:
+        self._advance(i % len(self.streams))
         return 1
+
+    def complete(self) -> None:
+        for which in range(len(self.streams)):
+            while self.next_batch[which] <= QUALITY_BATCHES:
+                self._advance(which)
 
     def check(self) -> None:
         # Replay the events to get each batch's graph (outside timing).
@@ -429,12 +487,14 @@ class StreamUpdates(_SessionRuntime):
         super().check()
 
     def extra_layers(self) -> dict[str, float]:
-        if not self.outputs:
+        # Outputs run in order: first batches, timed ops, completion.
+        timed = self.outputs[len(self.streams):][: len(self.latencies)]
+        if not timed:
             return {}
         return {
             "api.stream_overhead_ms": 1000.0 * (
                 statistics.fmean(self.latencies)
-                - statistics.fmean(o.total_s for o in self.outputs)
+                - statistics.fmean(o.total_s for o in timed)
             )
         }
 
@@ -457,6 +517,7 @@ class ServeDetect(Runtime):
         self.proc: subprocess.Popen | None = None
         self.address = ("127.0.0.1", 0)
         self.round_trips: list[float] = []
+        self.quality_keys = set(range(len(self.bodies)))
 
     def _request(
         self, method: str, path: str, body: bytes | None = None
@@ -477,7 +538,7 @@ class ServeDetect(Runtime):
             here = Path(__file__).resolve().parent
             command = [sys.executable, str(here / "serve_child.py")]
         self.proc = subprocess.Popen(
-            command + ["--port", "0"], stdout=subprocess.PIPE, text=True
+            command + SERVE_ARGS, stdout=subprocess.PIPE, text=True
         )
         line = self.proc.stdout.readline()
         match = re.search(r"serving on http://([\d.]+):(\d+)", line)
@@ -561,6 +622,19 @@ class ServeDetect(Runtime):
             self.round_trips.append(ended - began - output.total_s)
             self.ops += 1
         return self._samples(len(records))
+
+    def complete(self) -> None:
+        seen = {o.key for o in self.outputs}
+        for index in sorted(self.quality_keys - seen):
+            status, body = self._request("POST", "/detect", self.bodies[index])
+            if status != 200:
+                self.failures.append(
+                    f"request for input {index} answered {status}"
+                )
+                continue
+            self.outputs.append(
+                Output.from_dict(index, self.graphs[index], json.loads(body))
+            )
 
     def counters(self) -> dict:
         stats = json.loads(self._request("GET", "/stats")[1])

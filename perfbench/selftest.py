@@ -23,6 +23,7 @@ sys.path[:0] = [str(HERE), str(ROOT / "src")]
 import report  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
+import system  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -139,21 +140,21 @@ def test_event_batches_apply_cleanly():
 
 
 # ----------------------------------------------------------------------
-# BENCHMARK.json and the layer map agree with the harness
+# The layer map covers every per-layer metric of BENCHMARK.json
 # ----------------------------------------------------------------------
-def test_benchmark_json_matches_harness():
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    assert [(w["name"], w["why"]) for w in spec["workloads"]] == [
-        (w.name, w.why) for w in workloads.WORKLOADS.values()
-    ]
-    assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == (
-        report.END_TO_END
-    )
-    assert {m["name"]: m["unit"] for m in spec["per_layer"]} == (
-        report.PER_LAYER
-    )
+def test_layer_map_matches_benchmark_json():
     layer_map = json.loads((HERE / "layer_map.json").read_text())
     assert set(layer_map["metrics"]) == set(report.PER_LAYER)
+
+
+# ----------------------------------------------------------------------
+# Thread policy: the program runs as shipped
+# ----------------------------------------------------------------------
+def test_workload_env_leaves_thread_vars_unset(monkeypatch):
+    for var in system.THREAD_VARS:
+        monkeypatch.setenv(var, "3")
+    env = run._child_env()
+    assert not set(system.THREAD_VARS) & set(env)
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +182,7 @@ def test_smoke(name, trace, monkeypatch):
     _tiny(monkeypatch)
     monkeypatch.chdir(ROOT)
     correct, attempted, failed, metrics, lines = run.run_workload(
-        name, 1, 0.3, trace, as_shipped=False
+        name, 1, 0.3, trace
     )
     assert correct, lines
     assert attempted >= 1 and failed == 0
@@ -196,10 +197,10 @@ def test_smoke(name, trace, monkeypatch):
         if k.startswith("self.") and k != "self.op_wall_ms"
     )
     assert layer_sum == pytest.approx(metrics["self.op_wall_ms"])
-    assert metrics["env.blas_threads"] == run.BLAS_THREADS
-    if name in ("multilevel_batch", "serve_detect"):
-        assert metrics["trace.remote_spans"] > 0
+    assert metrics["env.blas_threads"] >= 1
     if name == "serve_detect":
+        # The server child and its process workers.
+        assert metrics["trace.remote_spans"] > 0
         assert metrics["server.parse_ms"] > 0
     if name == "stream_updates":
         assert metrics["qubo.patch_ms"] > 0

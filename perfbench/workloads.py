@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from report import BENCHMARK
 from repro.graphs import Graph
 from repro.graphs.lfr import lfr_graph
 
@@ -46,32 +46,8 @@ STREAM_SPEC: dict[str, Any] = {
 }
 
 
-@dataclass(frozen=True)
-class Workload:
-    name: str
-    why: str
-
-
-WORKLOADS = {
-    w.name: w
-    for w in (
-        Workload(
-            "multilevel_batch",
-            "Table-2 throughput: coarsen, QHD base solve and uncoarsen "
-            "fanned out over the process executor",
-        ),
-        Workload(
-            "serve_detect",
-            "service tier: POST /detect round trips through repro serve "
-            "with a light greedy detect",
-        ),
-        Workload(
-            "stream_updates",
-            "writes: detect_stream event batches patch the QUBO and "
-            "warm-start a greedy detect",
-        ),
-    )
-}
+#: Workload names, in ``BENCHMARK.json`` order.
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 
 # Per-op cost and modularity vary by graph (stream batches by 20%
 # between LFR seeds), so each run spreads its ops over several graphs
@@ -80,8 +56,8 @@ WORKLOADS = {
 #: Table-2 and stream sizes) and per warm-up graph.
 NODES = {"multilevel_batch": 1000, "serve_detect": 200, "stream_updates": 1000}
 WARMUP_NODES = {"multilevel_batch": 300, "serve_detect": 40}
-MULTILEVEL_GRAPHS = 16
-MULTILEVEL_BATCH = 4
+MULTILEVEL_GRAPHS = 12
+MULTILEVEL_BATCH = 2
 SERVE_GRAPHS = 48
 STREAMS = 8
 STREAM_BATCHES = 200  # per stream; runs stop early if they run out
