@@ -32,6 +32,7 @@ Besides the usual text report it writes
     {"benchmark": "batch", "n_graphs": ..., "n_nodes": ...,
      "cpu_count": ..., "spec": {...},
      "results": [{"label": "sequential", "seconds": ...,
+                  "blas_threads": ... | None,
                   "setup_seconds": ..., "run_seconds": ...,
                   "engine_pool": {...}, "wire": {...} | None,
                   "encode_submit_ms_per_graph": ... | None}, ...],
@@ -246,6 +247,7 @@ def run_batch(scale: float, n_communities: int = 3) -> dict:
     executor coverage.
     """
     import repro.api as api
+    from repro.api.threads import available_cores
     from repro.graphs.lfr import lfr_graph
 
     n_graphs = max(8, int(round(16 * scale)))
@@ -256,7 +258,7 @@ def run_batch(scale: float, n_communities: int = 3) -> dict:
         for i in range(n_graphs)
     ]
     spec = _spec(n_communities, n_steps)
-    cpu_count = os.cpu_count() or 1
+    cpu_count = available_cores()
     n_workers = min(4, cpu_count)
 
     modes = [("sequential", "thread", 1, None)]
@@ -296,6 +298,8 @@ def run_batch(scale: float, n_communities: int = 3) -> dict:
                 "label": label,
                 "executor": executor,
                 "workers": workers,
+                # The session's BLAS budget, read back from OpenBLAS.
+                "blas_threads": stats["blas_threads"],
                 "seconds": seconds,
                 "setup_seconds": setup_seconds,
                 "run_seconds": run_seconds,
@@ -435,6 +439,9 @@ def append_trajectory(report: dict) -> Path:
     point = {
         "date": datetime.date.today().isoformat(),
         "cpu_count": report["cpu_count"],
+        "blas_threads": {
+            row["label"]: row["blas_threads"] for row in report["results"]
+        },
         "n_workers": workers,
         "n_graphs": report["n_graphs"],
         "n_nodes": report["n_nodes"],

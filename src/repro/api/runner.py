@@ -282,18 +282,26 @@ def _decode_input(
 
 
 def _worker_initializer(
-    pooling: bool, max_idle_engines: int, max_idle_total: int
+    pooling: bool,
+    max_idle_engines: int,
+    max_idle_total: int,
+    blas_threads: int,
 ) -> None:
-    """Process-pool initializer: build this worker's engine pool once.
+    """Process-pool initializer: apply the BLAS budget, build the pool.
 
-    Runs in each worker process before it takes its first task; every
+    Runs in each worker process before it takes its first task.  It
+    sets the worker's OpenBLAS libraries to the session's per-worker
+    ``blas_threads`` budget (a forked worker inherits the parent's
+    count, a spawned one starts at OpenBLAS's default), and every
     chunk the worker executes afterwards leases engines from the same
     process-local pool (:func:`repro.qhd.pool.process_pool`), so
     same-shape runs amortise engine setup within the worker exactly as
     thread-mode runs do through the session pool.
     """
+    from repro.api.threads import set_blas_threads
     from repro.qhd import pool as qhd_pool
 
+    set_blas_threads(blas_threads)
     qhd_pool.init_process_pool(
         max_idle_per_key=max_idle_engines,
         max_idle_total=max_idle_total,
@@ -400,7 +408,7 @@ def detect_batch(
         :func:`detect` calls regardless of ``max_workers``.
     max_workers:
         Concurrent runs; ``None`` uses the default session's width
-        (``min(8, cpu_count)``) and ``1`` runs inline.
+        (``min(8, cores)``) and ``1`` runs inline.
 
     Notes
     -----

@@ -15,7 +15,12 @@ reusable runtime state:
   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers each
   own a lazily built process-local engine pool, so CPU-bound batches
   scale with cores instead of contending for one GIL.
-  ``executor="auto"`` picks processes on multi-core machines.
+  ``executor="auto"`` picks processes on multi-core machines;
+* the process's BLAS thread budget — when the session first runs work
+  concurrently it sets every loaded OpenBLAS to
+  ``max(1, cores // max_workers)`` threads (:mod:`repro.api.threads`),
+  and process workers apply the same count, so executor width × BLAS
+  threads never exceeds the cores.  Single runs leave the count alone.
 
 Process-mode handoff is array-native: graphs ship as
 :meth:`repro.graphs.Graph.to_arrays` tuples and QUBO models as
@@ -61,7 +66,6 @@ from __future__ import annotations
 import atexit
 import contextlib
 import multiprocessing
-import os
 import threading
 import warnings
 from concurrent.futures import (
@@ -77,6 +81,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from repro.api import runner
 from repro.api.config import Configurable
 from repro.api.spec import RunArtifact, RunSpec
+from repro.api.threads import available_cores, blas_threads, set_blas_threads
 from repro.exceptions import ReproError
 from repro.qhd.pool import EnginePool
 
@@ -108,10 +113,6 @@ class SessionError(ReproError):
     """Raised for invalid session usage (e.g. running after close)."""
 
 
-def _default_width() -> int:
-    return min(8, os.cpu_count() or 1)
-
-
 def _mp_context() -> multiprocessing.context.BaseContext | None:
     """The multiprocessing context for worker pools (fork when available).
 
@@ -134,10 +135,12 @@ class Session(Configurable):
     max_workers:
         Width of the session's persistent executor (and the default
         fan-out of :meth:`detect_batch` / :meth:`solve_batch`).
-        ``None`` sizes it to ``min(8, cpu_count)``.  Requests for a
+        ``None`` sizes it to ``min(8, cores)``, where ``cores`` counts
+        the CPUs in the process's affinity mask.  Requests for a
         *wider* per-call fan-out are clamped to this width with a
         :class:`RuntimeWarning` (the executor is sized once per
-        session); narrower requests are honoured exactly.
+        session); narrower requests are honoured exactly.  It is also
+        the session's only thread setting: see "Thread budget" below.
     max_idle_engines:
         Idle evolution engines kept per distinct run shape in the
         session's engine pool (see
@@ -170,6 +173,22 @@ class Session(Configurable):
     round-trip through :meth:`Configurable.to_config` /
     :meth:`Configurable.from_config`, so one JSON dict reproduces a
     configured session.
+
+    Thread budget: runs that execute concurrently share the cores.
+    When the session builds a pool that runs work in this process —
+    the batch thread pool, or on the thread backend the :meth:`submit`
+    pool — it sets every loaded OpenBLAS to
+    ``max(1, cores // max_workers)`` threads, and each process worker
+    applies the same count when it starts, so executor width × BLAS
+    threads never exceeds the cores.  The count never rises above what
+    OpenBLAS started with, so ``OPENBLAS_NUM_THREADS`` still caps it.
+    Single :meth:`detect` / :meth:`solve` calls and width-1 batches
+    build no pool and leave the count alone, so a lone run keeps every
+    core unless a pool built earlier lowered it.  The count is
+    process-wide — it also governs any other numpy/scipy code in the
+    process — is set by the session that most recently built such a
+    pool, and is not restored by :meth:`close`.
+    ``stats()["blas_threads"]`` reads it back.
 
     Examples
     --------
@@ -210,18 +229,20 @@ class Session(Configurable):
             raise SessionError(
                 f"wire must be one of {list(_WIRES)}, got {wire!r}"
             )
+        cores = available_cores()
         self._max_workers = (
-            _default_width() if max_workers is None else int(max_workers)
+            min(8, cores) if max_workers is None else int(max_workers)
         )
         self._max_idle_engines = int(max_idle_engines)
         self._pooling = bool(pooling)
         self._executor = executor
         self._wire = wire
         self._backend = (
-            ("process" if (os.cpu_count() or 1) > 1 else "thread")
+            ("process" if cores > 1 else "thread")
             if executor == "auto"
             else executor
         )
+        self._blas_budget = max(1, cores // self._max_workers)
         self._engine_pool = (
             EnginePool(max_idle_per_key=self._max_idle_engines)
             if pooling
@@ -279,7 +300,9 @@ class Session(Configurable):
         """Run counters plus the engine pool's counters (JSON-ready).
 
         In process mode the pool counters include the per-worker pools'
-        work, merged back chunk by chunk.
+        work, merged back chunk by chunk.  ``blas_threads`` is the
+        process's OpenBLAS thread count read back from the library
+        (``None`` without OpenBLAS).
         """
         with self._lock:
             runs = self._runs
@@ -290,6 +313,7 @@ class Session(Configurable):
             "clamped_calls": clamped,
             "max_workers": self._max_workers,
             "executor": self._backend,
+            "blas_threads": blas_threads(),
             "wire": {"mode": self.wire_mode, **wire_counters},
             "engine_pool": (
                 None
@@ -503,6 +527,7 @@ class Session(Configurable):
             if self._closed:
                 raise SessionError("session is closed")
             if self._thread_executor is None:
+                set_blas_threads(self._blas_budget)
                 self._thread_executor = ThreadPoolExecutor(
                     max_workers=self._max_workers,
                     thread_name_prefix="repro-session",
@@ -518,7 +543,12 @@ class Session(Configurable):
                     max_workers=self._max_workers,
                     mp_context=_mp_context(),
                     initializer=runner._worker_initializer,
-                    initargs=(self._pooling, self._max_idle_engines, 16),
+                    initargs=(
+                        self._pooling,
+                        self._max_idle_engines,
+                        16,
+                        self._blas_budget,
+                    ),
                 )
             return self._process_executor
 
@@ -527,6 +557,10 @@ class Session(Configurable):
             if self._closed:
                 raise SessionError("session is closed")
             if self._dispatch_executor is None:
+                if self._backend == "thread":
+                    # Submitted runs execute on these threads; on the
+                    # process backend they only wait on the workers.
+                    set_blas_threads(self._blas_budget)
                 self._dispatch_executor = ThreadPoolExecutor(
                     max_workers=self._max_workers,
                     thread_name_prefix="repro-submit",

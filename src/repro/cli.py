@@ -169,9 +169,11 @@ def _session_line(stats: dict) -> str:
     wire_note = (
         f", {wire['mode']} wire" if stats["executor"] == "process" else ""
     )
+    blas = stats["blas_threads"]
     return (
         f"executor:     {stats['executor']} "
-        f"({stats['max_workers']} workers{wire_note})"
+        f"({stats['max_workers']} workers{wire_note}, "
+        f"BLAS threads {'n/a' if blas is None else blas})"
     )
 
 
@@ -537,6 +539,8 @@ def _add_session_flags(
     flags pick its backend identically everywhere, and each command
     prints the resolved backend it ran on.
     """
+    from repro.api.threads import available_cores
+
     parser.add_argument(
         "--executor",
         choices=("thread", "process", "auto"),
@@ -552,7 +556,12 @@ def _add_session_flags(
         "--max-workers",
         type=int,
         default=None,
-        help="session executor width (default: min(8, cpu_count))",
+        help=(
+            "session executor width; runs executing concurrently get "
+            "cores // width BLAS threads each, a lone run keeps every "
+            f"core (default: min(8, cores); cores = {available_cores()} "
+            "here)"
+        ),
     )
     parser.add_argument(
         "--wire",
@@ -631,7 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run the spec this many times through one reusable session "
             "(pooled QHD engines; prints per-run timings) and report "
-            "the last run"
+            "the last run; --executor, --max-workers and --wire apply "
+            "only to these repeats"
         ),
     )
     _add_session_flags(detect, default_executor="thread")

@@ -26,27 +26,21 @@ factor while reproducing the original loop bit-for-bit in complex128:
 * **Precision mode** — ``dtype="complex64"`` halves memory bandwidth;
   the grid points, the propagator eigensystem and every workspace buffer
   drop to single precision (quality is tolerance-tested, not bit-pinned).
-* **Sample-shard threading** — ``n_workers > 1`` shards the
-  ``(samples, n, grid)`` tensor along the sample axis across a thread
-  pool for the element-wise phase/density stages (numpy ufuncs release
-  the GIL).  Reductions stay within each (sample, variable) row and RNG
-  draws are issued full-batch before sharding, so results are identical
-  for every worker count.  The dense matmuls and FFTs stay single calls
-  (BLAS/pocketfft manage their own parallelism and their blocking must
-  not change with the shard size).
 
-Bit-exactness contract: with ``dtype="complex128"`` (any ``n_workers``)
-the engine performs the same floating-point operations in the same order
-as the pre-engine inline loop of :class:`repro.qhd.QhdSolver._run`, so
-seeded trajectories are bit-for-bit identical — pinned against a literal
-copy of the old loop in ``tests/qhd/test_engine.py``.
+Every stage runs on the full ``(samples, n, grid)`` arrays in the
+calling thread; the only parallelism inside a run is BLAS's own, whose
+thread count the owning :class:`repro.api.Session` sets.
+
+Bit-exactness contract: with ``dtype="complex128"`` the engine performs
+the same floating-point operations in the same order as the pre-engine
+inline loop of :class:`repro.qhd.QhdSolver._run`, so seeded trajectories
+are bit-for-bit identical — pinned against a literal copy of the old
+loop in ``tests/qhd/test_engine.py``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -108,9 +102,6 @@ class EvolutionEngine:
     dtype:
         ``"complex128"`` (default, bit-exact vs the pre-engine loop) or
         ``"complex64"`` (half the memory bandwidth, tolerance quality).
-    n_workers:
-        Thread-pool shards for the element-wise stages; results are
-        independent of the value.
 
     Examples
     --------
@@ -142,7 +133,6 @@ class EvolutionEngine:
         normalize_every: int = 10,
         energy_scale: float = 1.0,
         dtype: str = "complex128",
-        n_workers: int = 1,
     ) -> None:
         self._model = model
         self._schedule = schedule
@@ -164,7 +154,6 @@ class EvolutionEngine:
         self.energy_scale = check_positive(energy_scale, "energy_scale")
         self.dtype = check_complex_dtype(dtype)
         self._cdtype, self._rdtype = DTYPES[self.dtype]
-        self.n_workers = check_integer(n_workers, "n_workers", minimum=1)
 
         real_name = np.dtype(self._rdtype).name
         if boundary == "periodic":
@@ -235,15 +224,6 @@ class EvolutionEngine:
         self._pos = np.empty(flat, dtype=self.points.dtype)
         self._mu = np.empty(flat, dtype=self._rdtype)
         self._psi: np.ndarray | None = None
-
-        # Sample-axis shards for the element-wise stages.
-        workers = min(self.n_workers, self.n_samples)
-        bounds = np.linspace(0, self.n_samples, workers + 1).astype(int)
-        self._slices = [
-            slice(int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
 
     # ------------------------------------------------------------------
     # Public API
@@ -322,10 +302,7 @@ class EvolutionEngine:
                 f"psi0 must have shape {expected}, got {psi.shape}"
             )
         self._psi = psi
-        if self.n_workers > 1:
-            with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                return self._evolve(pool, rng, budget, record_trace)
-        return self._evolve(None, rng, budget, record_trace)
+        return self._evolve(rng, budget, record_trace)
 
     def measure(
         self, rng: np.random.Generator, shots: int
@@ -341,9 +318,9 @@ class EvolutionEngine:
         if self._psi is None:
             raise SimulationError("measure() requires evolve() first")
         check_integer(shots, "shots", minimum=0)
-        self._normalize(None)
+        self._normalize()
         dens, sums = self._dens, self._sums
-        self._density(slice(None))
+        self._density()
         self._check_mass()
         np.divide(dens, sums, out=dens)
         mu = dens @ self.points
@@ -353,7 +330,7 @@ class EvolutionEngine:
         )
         for shot in range(shots):
             rng.random(out=self._draws)
-            self._inverse_cdf(slice(None), positions[shot])
+            self._inverse_cdf(positions[shot])
         return mu, positions
 
     # ------------------------------------------------------------------
@@ -361,7 +338,6 @@ class EvolutionEngine:
     # ------------------------------------------------------------------
     def _evolve(
         self,
-        pool: ThreadPoolExecutor | None,
         rng: np.random.Generator,
         budget: TimeBudget | None,
         record_trace: bool,
@@ -372,14 +348,14 @@ class EvolutionEngine:
         for step in range(self.n_steps):
             if budget is not None and budget.exhausted():
                 break
-            mu = self._observe(pool, rng, full_mu=record_trace)
+            mu = self._observe(rng, full_mu=record_trace)
             fields = np.asarray(
                 self._model.local_fields_batch(self._pos), dtype=np.float64
             )
             np.divide(fields, self.energy_scale, out=fields)
-            self._strang_step(pool, step, fields)
+            self._strang_step(step, fields)
             if (step + 1) % self.normalize_every == 0:
-                self._normalize(pool)
+                self._normalize()
             if record_trace:
                 relaxed = self._model.evaluate_batch(mu)
                 trace_best.append(float(relaxed.min()))
@@ -399,10 +375,7 @@ class EvolutionEngine:
 
     @hot_path
     def _observe(
-        self,
-        pool: ThreadPoolExecutor | None,
-        rng: np.random.Generator,
-        full_mu: bool,
+        self, rng: np.random.Generator, full_mu: bool
     ) -> np.ndarray | None:
         """One density pass -> expectations + stochastic field positions.
 
@@ -412,55 +385,45 @@ class EvolutionEngine:
         matrix only when ``full_mu`` (tracing) asks for it.
         """
         dens, sums = self._dens, self._sums
-        self._foreach(pool, self._density)
+        self._density()
         self._check_mass()
-        self._foreach(pool, lambda sl: np.divide(
-            dens[sl], sums[sl], out=dens[sl]
-        ))
+        np.divide(dens, sums, out=dens)
         if full_mu:
             mu = np.matmul(dens, self.points, out=self._mu)
             mu0 = mu[0]
         else:
             mu = None
             mu0 = dens[0] @ self.points
-        self._foreach(pool, lambda sl: np.cumsum(
-            dens[sl], axis=-1, out=dens[sl]
-        ))
-        # Full-batch draw *before* sharding: the stream is identical for
-        # every n_workers, and matches the pre-engine loop's single
+        np.cumsum(dens, axis=-1, out=dens)
+        # One full-batch draw, matching the pre-engine loop's single
         # rng.random(size=(samples, n, 1)) call.
         rng.random(out=self._draws)
-        self._foreach(pool, lambda sl: self._inverse_cdf(sl, self._pos[sl]))
+        self._inverse_cdf(self._pos)
         self._pos[0] = mu0
         return mu
 
     @hot_path
-    def _density(self, sl: slice) -> None:
-        """``|psi|^2`` and its grid-axis mass for one sample shard."""
+    def _density(self) -> None:
+        """``|psi|^2`` and its grid-axis mass."""
         psi, dens, sums = self._psi, self._dens, self._sums
-        np.absolute(psi[sl], out=dens[sl])
-        np.square(dens[sl], out=dens[sl])
-        np.sum(dens[sl], axis=-1, keepdims=True, out=sums[sl])
+        np.absolute(psi, out=dens)
+        np.square(dens, out=dens)
+        np.sum(dens, axis=-1, keepdims=True, out=sums)
 
     def _check_mass(self) -> None:
         if np.any(self._sums <= 0):
             raise SimulationError("cannot normalise zero probability mass")
 
     @hot_path
-    def _inverse_cdf(self, sl: slice, out: np.ndarray) -> None:
-        """Inverse-CDF position draw for one shard (cdf in ``_dens``)."""
-        np.less(self._dens[sl], self._draws[sl], out=self._bool[sl])
-        np.sum(self._bool[sl], axis=-1, out=self._idx[sl])
-        np.clip(self._idx[sl], 0, self.grid_points - 1, out=self._idx[sl])
-        np.take(self.points, self._idx[sl], out=out)
+    def _inverse_cdf(self, out: np.ndarray) -> None:
+        """Inverse-CDF position draw into ``out`` (cdf in ``_dens``)."""
+        np.less(self._dens, self._draws, out=self._bool)
+        np.sum(self._bool, axis=-1, out=self._idx)
+        np.clip(self._idx, 0, self.grid_points - 1, out=self._idx)
+        np.take(self.points, self._idx, out=out)
 
     @hot_path
-    def _strang_step(
-        self,
-        pool: ThreadPoolExecutor | None,
-        step: int,
-        fields: np.ndarray,
-    ) -> None:
+    def _strang_step(self, step: int, fields: np.ndarray) -> None:
         """One in-place Strang split step with precomputed phases."""
         psi, half, work, work2 = (
             self._psi, self._half, self._work, self._work2,
@@ -473,62 +436,34 @@ class EvolutionEngine:
         # theta = V * Im(coef) — the same cos/sin calls cexp makes
         # internally (bit-identical), minus the complex bookkeeping.
         theta_scale = float(self._pot_imag[step])
-
-        def phase_stage(sl: slice) -> None:
-            np.multiply(fields[sl][..., None], points, out=pot_buf[sl])
-            np.multiply(pot_buf[sl], theta_scale, out=pot_buf[sl])
-            np.cos(pot_buf[sl], out=half_re[sl])
-            np.sin(pot_buf[sl], out=half_im[sl])
-            np.multiply(psi[sl], half[sl], out=work[sl])
-
-        self._foreach(pool, phase_stage)
+        np.multiply(fields[..., None], points, out=pot_buf)
+        np.multiply(pot_buf, theta_scale, out=pot_buf)
+        np.cos(pot_buf, out=half_re)
+        np.sin(pot_buf, out=half_im)
+        np.multiply(psi, half, out=work)
         if self._modes is not None:
             np.matmul(work, self._modes, out=work2)
-            self._foreach(pool, lambda sl: np.multiply(
-                work2[sl], self._ktable[step], out=work2[sl]
-            ))
+            np.multiply(work2, self._ktable[step], out=work2)
             np.matmul(work2, self._modes, out=work)
-            self._foreach(pool, lambda sl: np.multiply(
-                work[sl], half[sl], out=psi[sl]
-            ))
+            np.multiply(work, half, out=psi)
         else:
             spectrum = np.fft.fft(work, axis=-1)
             np.multiply(spectrum, self._ktable[step], out=spectrum)
             back = np.fft.ifft(spectrum, axis=-1)
-            self._foreach(pool, lambda sl: np.multiply(
-                back[sl], half[sl], out=psi[sl]
-            ))
+            np.multiply(back, half, out=psi)
 
     @hot_path
-    def _normalize(self, pool: ThreadPoolExecutor | None) -> None:
+    def _normalize(self) -> None:
         """In-place renormalisation, mirroring ``observables.normalize``."""
         psi = self._psi
         if not np.all(np.isfinite(psi.view(self._rdtype))):
             raise SimulationError(
                 "wavefunction contains non-finite amplitudes"
             )
-        self._foreach(pool, self._density)
+        self._density()
         nrm = self._sums
         np.multiply(nrm, self.spacing, out=nrm)
         np.sqrt(nrm, out=nrm)
         if np.any(nrm < 1e-12):
             raise SimulationError("wavefunction norm collapsed to zero")
-        self._foreach(pool, lambda sl: np.divide(
-            psi[sl], nrm[sl], out=psi[sl]
-        ))
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _foreach(
-        self,
-        pool: ThreadPoolExecutor | None,
-        fn: Callable[[slice], object],
-    ) -> None:
-        """Run ``fn`` over the sample shards, threaded when pooled."""
-        if pool is None:
-            fn(slice(None))
-            return
-        futures = [pool.submit(fn, sl) for sl in self._slices]
-        for future in futures:
-            future.result()
+        np.divide(psi, nrm, out=psi)

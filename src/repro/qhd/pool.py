@@ -11,7 +11,7 @@ had the same grid shape, step count and dtype.
 :func:`engine_key` covering every construction parameter that shapes the
 precomputed tables and buffers (sample count, variable count, grid
 points, step count, horizon, schedule parameters, boundary,
-normalisation cadence, dtype and worker count) and leased to runs:
+normalisation cadence and dtype) and leased to runs:
 
 * a **lease** (:meth:`EnginePool.lease`) pops a cached engine for the
   key — or constructs one on a miss — and hands it out exclusively;
@@ -94,7 +94,6 @@ def engine_key(
     boundary: str = "dirichlet",
     normalize_every: int = 10,
     dtype: str = "complex128",
-    n_workers: int = 1,
 ) -> tuple:
     """The cache key of one engine shape.
 
@@ -113,7 +112,6 @@ def engine_key(
         str(boundary),
         int(normalize_every),
         str(dtype),
-        int(n_workers),
         schedule_key(schedule),
     )
 
@@ -212,7 +210,6 @@ class EnginePool:
         normalize_every: int = 10,
         energy_scale: float = 1.0,
         dtype: str = "complex128",
-        n_workers: int = 1,
     ) -> _EngineLease:
         """Lease an engine for ``model`` with the given evolution knobs.
 
@@ -232,7 +229,6 @@ class EnginePool:
             boundary=boundary,
             normalize_every=normalize_every,
             dtype=dtype,
-            n_workers=n_workers,
         )
         engine: EvolutionEngine | None = None
         with self._lock:
@@ -263,7 +259,6 @@ class EnginePool:
                 normalize_every=normalize_every,
                 energy_scale=energy_scale,
                 dtype=dtype,
-                n_workers=n_workers,
             )
             watch.stop()
             with self._lock:

@@ -91,10 +91,6 @@ class QhdSolver(QuboSolver):
         Evolution precision: ``"complex128"`` (default; seeded runs are
         bit-identical to the pre-engine loop) or ``"complex64"`` (half
         the memory bandwidth at single-precision quality).
-    n_workers:
-        Thread shards for the element-wise evolution stages; any value
-        produces identical results (sampling draws are issued
-        full-batch), so this is purely a throughput knob.
     seed:
         RNG seed for initial wavepackets and measurements.
 
@@ -127,7 +123,6 @@ class QhdSolver(QuboSolver):
         boundary: str = "dirichlet",
         record_trace: bool = False,
         dtype: str = "complex128",
-        n_workers: int = 1,
         time_limit: float | None = float("inf"),
         seed: SeedLike = None,
     ) -> None:
@@ -163,7 +158,6 @@ class QhdSolver(QuboSolver):
             self.dtype = check_complex_dtype(dtype)
         except SimulationError as err:
             raise SolverError(str(err)) from None
-        self.n_workers = check_integer(n_workers, "n_workers", minimum=1)
         self.time_limit = check_time_limit(time_limit)
         self._seed = seed
         # Runtime wiring, not configuration: an attached EnginePool lets
@@ -258,7 +252,6 @@ class QhdSolver(QuboSolver):
             normalize_every=self.normalize_every,
             energy_scale=energy_scale,
             dtype=self.dtype,
-            n_workers=self.n_workers,
         )
         with lease as engine:
             psi = self._initial_wavepackets(
@@ -299,7 +292,6 @@ class QhdSolver(QuboSolver):
             metadata={
                 "energy_scale": energy_scale,
                 "dtype": self.dtype,
-                "n_workers": self.n_workers,
             },
         )
         return details, watch.elapsed, outcome.steps_done

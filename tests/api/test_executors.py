@@ -23,6 +23,7 @@ import pytest
 import repro.api as api
 from repro.api import runner, session as session_module
 from repro.api.session import Session, SessionError, default_session
+from repro.api.threads import available_cores
 from repro.graphs.generators import ring_of_cliques
 from repro.qubo import build_community_qubo
 from repro.qubo.random_instances import random_qubo
@@ -314,7 +315,7 @@ class TestExecutorConfig:
 
     def test_auto_resolves_by_core_count(self):
         resolved = Session(executor="auto").executor_backend
-        expected = "process" if (os.cpu_count() or 1) > 1 else "thread"
+        expected = "process" if available_cores() > 1 else "thread"
         assert resolved == expected
 
     def test_stats_reports_backend(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro.api as api
-from repro.api import runner
+from repro.api import runner, threads
 from repro.api.session import Session, SessionError, default_session
 from repro.graphs.generators import ring_of_cliques
 from repro.qubo.random_instances import random_qubo
@@ -57,6 +57,8 @@ class TestSessionLifecycle:
             stats = session.stats()
         assert stats["runs"] == 1
         assert stats["engine_pool"]["misses"] >= 1
+        # The process's count, read back through the shim.
+        assert stats["blas_threads"] == threads.blas_threads()
 
     def test_pooling_can_be_disabled(self, clique_ring):
         graph, _ = clique_ring

@@ -6,15 +6,15 @@ below as a literal reference implementation (per-step schedule calls,
 ``strang_step`` allocations, sequential ``shots`` measurement loop) and
 the engine-driven solver must reproduce it **bit-for-bit** in complex128
 — dense and sparse models, Dirichlet and periodic boundaries, with and
-without tracing, for every ``n_workers``.  The ``complex64`` mode is
-quality-gated by tolerance instead, and the new knobs round-trip through
-the registry/config machinery like every other knob.
+without tracing.  The ``complex64`` mode is quality-gated by tolerance
+instead, and the new knobs round-trip through the registry/config
+machinery like every other knob.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import SOLVERS
+from repro.api import SOLVERS, ConfigError, Session
 from repro.exceptions import SolverError
 from repro.graphs.lfr import lfr_graph
 from repro.hamiltonian.grid import PositionGrid
@@ -197,33 +197,6 @@ class TestBitExactEquivalence:
         assert_bit_exact({"schedule": "exponential"}, dense_model)
 
 
-class TestWorkerDeterminism:
-    @pytest.mark.parametrize("n_workers", [2, 3, 5])
-    def test_workers_match_serial(self, dense_model, n_workers):
-        base = make_solver(seed=2).solve_detailed(dense_model)
-        sharded = make_solver(
-            seed=2, n_workers=n_workers
-        ).solve_detailed(dense_model)
-        np.testing.assert_array_equal(base.samples, sharded.samples)
-        np.testing.assert_array_equal(base.energies, sharded.energies)
-        np.testing.assert_array_equal(
-            base.mean_positions, sharded.mean_positions
-        )
-
-    def test_workers_match_reference(self, dense_model):
-        """Threaded runs are bit-exact vs the old loop too."""
-        assert_bit_exact({"n_workers": 4}, dense_model)
-
-    def test_more_workers_than_samples(self, dense_model):
-        base = make_solver(seed=1, n_samples=2).solve_detailed(dense_model)
-        sharded = make_solver(
-            seed=1, n_samples=2, n_workers=8
-        ).solve_detailed(dense_model)
-        np.testing.assert_array_equal(
-            base.mean_positions, sharded.mean_positions
-        )
-
-
 class TestComplex64Mode:
     def test_solves_small_optimum(self, small_qubo):
         result = make_solver(dtype="complex64").solve(small_qubo)
@@ -259,14 +232,23 @@ class TestComplex64Mode:
         )
 
     def test_workers_deterministic_in_complex64(self, dense_model):
-        a = make_solver(seed=5, dtype="complex64").solve_detailed(
-            dense_model
-        )
-        b = make_solver(
-            seed=5, dtype="complex64", n_workers=3
-        ).solve_detailed(dense_model)
-        np.testing.assert_array_equal(a.mean_positions, b.mean_positions)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        """Concurrent batch workers reproduce the single seeded run."""
+        single = make_solver(seed=5, dtype="complex64").solve(dense_model)
+        spec = {
+            "solver": "qhd",
+            "solver_config": {
+                "n_samples": 6,
+                "n_steps": 33,
+                "grid_points": 12,
+                "dtype": "complex64",
+            },
+            "seed": 5,
+        }
+        with Session(executor="thread", max_workers=2) as session:
+            batch = session.solve_batch([dense_model] * 3, spec)
+        for artifact in batch:
+            np.testing.assert_array_equal(artifact.result.x, single.x)
+            assert artifact.result.energy == single.energy
 
 
 class TestEngineInternals:
@@ -303,11 +285,8 @@ class TestEngineInternals:
             engine.measure(ensure_rng(0), 2)
 
     def test_metadata_reports_knobs(self, small_qubo):
-        details = make_solver(
-            dtype="complex64", n_workers=2
-        ).solve_detailed(small_qubo)
+        details = make_solver(dtype="complex64").solve_detailed(small_qubo)
         assert details.metadata["dtype"] == "complex64"
-        assert details.metadata["n_workers"] == 2
 
 
 class TestConfigRoundTrips:
@@ -316,24 +295,21 @@ class TestConfigRoundTrips:
             "n_samples": 4,
             "n_steps": 10,
             "dtype": "complex64",
-            "n_workers": 3,
             "seed": 1,
         }
         solver = SOLVERS.create("qhd", **spec)
         config = solver.to_config()
         assert config["dtype"] == "complex64"
-        assert config["n_workers"] == 3
         rebuilt = SOLVERS.get("qhd").from_config(config)
         assert rebuilt.to_config() == config
 
     def test_defaults_roundtrip(self):
         config = QhdSolver().to_config()
         assert config["dtype"] == "complex128"
-        assert config["n_workers"] == 1
         assert QhdSolver.from_config(config).to_config() == config
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(SolverError):
             QhdSolver(dtype="float64")
-        with pytest.raises(ValueError):
-            QhdSolver(n_workers=0)
+        with pytest.raises(ConfigError, match="n_workers"):
+            SOLVERS.create("qhd", n_workers=2)

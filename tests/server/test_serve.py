@@ -26,6 +26,7 @@ import urllib.request
 import pytest
 
 import repro.api as api
+from repro.api import threads
 from repro.graphs.generators import ring_of_cliques
 from repro.server import ReproServer
 
@@ -109,6 +110,7 @@ class TestEndpoints:
             assert stats["server"]["queue_depth"] == 0
             assert stats["session"]["runs"] == 0
             assert "engine_pool" in stats["session"]
+            assert stats["session"]["blas_threads"] == threads.blas_threads()
 
     def test_detect_byte_identical_to_direct_run(self):
         graph, _ = ring_of_cliques(3, 5)

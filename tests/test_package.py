@@ -85,6 +85,7 @@ DOCTEST_MODULES = [
     "repro.api.runner",
     "repro.api.session",
     "repro.api.spec",
+    "repro.api.threads",
     "repro.hamiltonian.grid",
     "repro.hamiltonian.schedules",
     "repro.community.modularity",
