@@ -9,22 +9,11 @@ batch of LFR graphs through three session configurations:
 * ``threads_N`` — the persistent thread pool (GIL-bound for numpy-heavy
   specs, so the speedup here measures how much of the run releases the
   GIL),
-* ``processes_N_pickle`` / ``processes_N_shm`` — the process pool
-  (per-worker engine pools, chunked work-stealing fan-out) under both
-  input wires: array bundles serialised into every task payload, vs
-  zero-copy shared-memory segments with per-chunk descriptors.
+* ``processes_N`` — the process pool (chunked work-stealing fan-out,
+  array bundles pickled into every task payload).
 
 All rows must produce bit-identical seeded partitions (asserted), so
-the bench doubles as an executor × wire equivalence check at benchmark
-scale.
-
-A separate **wire probe** isolates the per-graph encode+submit cost of
-each wire at fleet-relevant graph sizes: per graph it measures encode,
-a length-prefixed trip through a real ``os.pipe`` (the transport the
-executor's task queue rides on), and worker-side materialisation down
-to canonical ``Graph`` arrays.  The ``repeats`` axis models sweep
-workloads where the same graph is submitted under several specs — the
-case segment dedup turns into a single copy.
+the bench doubles as an executor equivalence check at benchmark scale.
 
 Besides the usual text report it writes
 ``benchmarks/results/batch.json`` with the shape::
@@ -34,13 +23,9 @@ Besides the usual text report it writes
      "results": [{"label": "sequential", "seconds": ...,
                   "blas_threads": ... | None,
                   "setup_seconds": ..., "run_seconds": ...,
-                  "engine_pool": {...}, "wire": {...} | None,
-                  "encode_submit_ms_per_graph": ... | None}, ...],
-     "wire_probe": [{"n_nodes": ..., "n_edges": ..., "repeats": ...,
-                     "pickle_ms_per_graph": ..., "shm_ms_per_graph": ...,
-                     "shm_advantage": ...}, ...],
+                  "wire": {...} | None}, ...],
      "thread_speedup": ..., "process_speedup": ...,
-     "process_over_thread": ..., "wire_advantage_executor": ...}
+     "process_over_thread": ...}
 
 and (unless ``--no-trajectory``) appends a dated point to the
 ``BENCH_batch_runtime.json`` trajectory at the repo root — the
@@ -57,11 +42,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
-import pickle
-import struct
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -87,157 +68,6 @@ def _spec(n_communities: int, n_steps: int) -> dict:
     }
 
 
-class _PipeDrain:
-    """Length-prefixed blobs through a real ``os.pipe``.
-
-    Models the transport the executor's task queue rides on: the parent
-    writes the serialised task in 64 KiB chunks, a drainer on the other
-    end reassembles it.  The collected blobs are decoded by the caller
-    afterwards, standing in for the worker's receive side.
-    """
-
-    def __init__(self) -> None:
-        self._read_fd, self._write_fd = os.pipe()
-        self.blobs: list[bytes] = []
-        self._thread = threading.Thread(target=self._drain, daemon=True)
-        self._thread.start()
-
-    def _drain(self) -> None:
-        while True:
-            header = os.read(self._read_fd, 4)
-            if len(header) < 4:
-                return
-            length = struct.unpack(">I", header)[0]
-            if length == 0:
-                return
-            chunks, received = [], 0
-            while received < length:
-                chunk = os.read(
-                    self._read_fd, min(1 << 16, length - received)
-                )
-                chunks.append(chunk)
-                received += len(chunk)
-            self.blobs.append(b"".join(chunks))
-
-    def send(self, blob: bytes) -> None:
-        os.write(self._write_fd, struct.pack(">I", len(blob)))
-        view = memoryview(blob)
-        while view:
-            sent = os.write(self._write_fd, view[: 1 << 16])
-            view = view[sent:]
-
-    def close(self) -> None:
-        os.write(self._write_fd, struct.pack(">I", 0))
-        self._thread.join()
-        os.close(self._read_fd)
-        os.close(self._write_fd)
-
-
-def _wire_cost_ms(
-    graphs: list, wire: str, repeats: int = 1, rounds: int = 5
-) -> float:
-    """Per-graph encode+submit cost of one wire, in ms (best of rounds).
-
-    Covers exactly the wire-dependent work per graph: encode the
-    arrays, ship the task blob through a pipe, and deserialise on the
-    far side back to ready-to-use arrays (``pickle.loads`` copies them
-    out of the blob; the shm reader attaches zero-copy views).  The
-    wire-independent remainder — rebuilding ``Graph`` structure from
-    those arrays — is identical on both wires and excluded.
-    ``repeats`` submits every graph that many times (sweep workloads);
-    the shm writer dedups those into one segment, the pickle wire pays
-    full freight per submission.
-    """
-    from repro.api import runner
-    from repro.api.shm import ShmBatchWriter, ShmChunkReader
-
-    encoded = [runner._encode_input(graph) for graph in graphs]
-    n_submissions = len(graphs) * repeats
-    best = float("inf")
-
-    for _ in range(rounds):
-        if wire == "pickle":
-            pipe = _PipeDrain()
-            start = time.perf_counter()
-            for _ in range(repeats):
-                for tag, payload in encoded:
-                    pipe.send(
-                        pickle.dumps(
-                            (tag, payload),
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        )
-                    )
-            pipe.close()
-            for blob in pipe.blobs:
-                pickle.loads(blob)
-            elapsed = time.perf_counter() - start
-        else:
-            pipe = _PipeDrain()
-            start = time.perf_counter()
-            with ShmBatchWriter() as writer:
-                for _ in range(repeats):
-                    for index, (tag, payload) in enumerate(encoded):
-                        descriptor = writer.encode(
-                            tag, payload, key=index
-                        )
-                        pipe.send(
-                            pickle.dumps(
-                                ("shm", descriptor),
-                                protocol=pickle.HIGHEST_PROTOCOL,
-                            )
-                        )
-                pipe.close()
-                with ShmChunkReader() as reader:
-                    for blob in pipe.blobs:
-                        _, descriptor = pickle.loads(blob)
-                        reader.decode(descriptor)
-                elapsed = time.perf_counter() - start
-        best = min(best, elapsed / n_submissions * 1e3)
-    return best
-
-
-def run_wire_probe(scale: float) -> list[dict]:
-    """Per-graph wire costs at fleet-relevant sizes, both wires.
-
-    Rows cover ``repeats`` 1 (every graph unique) and 4 (sweep-style:
-    one graph under four specs, the shape ``detect --repeat`` and the
-    table drivers produce) at n_nodes >= 1000.
-    """
-    import numpy as np
-
-    from repro.graphs.graph import Graph
-
-    sizes = [(1000, 10_000), (4_000, 40_000)]
-    if scale >= 1.0:
-        sizes.append((10_000, 100_000))
-    rows = []
-    for n_nodes, n_edges in sizes:
-        rng = np.random.default_rng(n_nodes)
-        graphs = [
-            Graph.from_arrays(
-                n_nodes,
-                rng.integers(0, n_nodes, size=n_edges),
-                rng.integers(0, n_nodes, size=n_edges),
-                rng.uniform(0.5, 2.0, size=n_edges),
-            )
-            for _ in range(3)
-        ]
-        for repeats in (1, 4):
-            pickle_ms = _wire_cost_ms(graphs, "pickle", repeats)
-            shm_ms = _wire_cost_ms(graphs, "shm", repeats)
-            rows.append(
-                {
-                    "n_nodes": n_nodes,
-                    "n_edges": n_edges,
-                    "repeats": repeats,
-                    "pickle_ms_per_graph": pickle_ms,
-                    "shm_ms_per_graph": shm_ms,
-                    "shm_advantage": pickle_ms / max(1e-9, shm_ms),
-                }
-            )
-    return rows
-
-
 def run_batch(scale: float, n_communities: int = 3) -> dict:
     """Time the batch through every executor backend; return the report.
 
@@ -261,34 +91,22 @@ def run_batch(scale: float, n_communities: int = 3) -> dict:
     cpu_count = available_cores()
     n_workers = min(4, cpu_count)
 
-    modes = [("sequential", "thread", 1, None)]
+    modes = [("sequential", "thread", 1)]
     if n_workers > 1:
-        modes.append((f"threads_{n_workers}", "thread", n_workers, None))
-    # Even on a single-core box the process rows run (inline, width 1)
-    # so the report always carries all backend labels it can honestly
-    # measure; the multi-worker process rows only exist with the cores
-    # to back them.  Both wires run so the executor-level wire cost is
-    # on record next to the isolated wire probe.
-    modes.append(
-        (f"processes_{n_workers}_pickle", "process", n_workers, "pickle")
-    )
-    modes.append(
-        (f"processes_{n_workers}_shm", "process", n_workers, "shm")
-    )
+        modes.append((f"threads_{n_workers}", "thread", n_workers))
+    # Even on a single-core box the process row runs (inline, width 1)
+    # so the report always carries every backend label it can honestly
+    # measure.
+    modes.append((f"processes_{n_workers}", "process", n_workers))
 
     results = []
     baseline = None
-    for label, executor, workers, wire in modes:
-        session_kwargs = {"max_workers": workers, "executor": executor}
-        if wire is not None:
-            session_kwargs["wire"] = wire
-        with api.Session(**session_kwargs) as session:
+    for label, executor, workers in modes:
+        with api.Session(max_workers=workers, executor=executor) as session:
             start = time.perf_counter()
             artifacts = session.detect_batch(graphs, spec)
             seconds = time.perf_counter() - start
             stats = session.stats()
-            pool_stats = stats["engine_pool"]
-            wire_stats = stats["wire"] if wire is not None else None
         # Setup (pipeline construction) vs solve/evolve attribution,
         # summed over the batch from the per-artifact timings.
         setup_seconds = sum(a.timings["build"] for a in artifacts)
@@ -303,13 +121,7 @@ def run_batch(scale: float, n_communities: int = 3) -> dict:
                 "seconds": seconds,
                 "setup_seconds": setup_seconds,
                 "run_seconds": run_seconds,
-                "engine_pool": pool_stats,
-                "wire": wire_stats,
-                "encode_submit_ms_per_graph": (
-                    _wire_cost_ms(graphs, wire)
-                    if wire is not None
-                    else None
-                ),
+                "wire": stats["wire"] if executor == "process" else None,
             }
         )
         labels = [a.result.labels for a in artifacts]
@@ -325,10 +137,7 @@ def run_batch(scale: float, n_communities: int = 3) -> dict:
     by_label = {row["label"]: row["seconds"] for row in results}
     sequential = by_label["sequential"]
     thread = by_label.get(f"threads_{n_workers}")
-    process_pickle = by_label.get(f"processes_{n_workers}_pickle")
-    # The shm row is the speedup reference: shm is what wire="auto"
-    # resolves to, so it is the configuration the drivers actually run.
-    process = by_label.get(f"processes_{n_workers}_shm")
+    process = by_label.get(f"processes_{n_workers}")
     return {
         "benchmark": "batch",
         "scale": scale,
@@ -338,7 +147,6 @@ def run_batch(scale: float, n_communities: int = 3) -> dict:
         "cpu_count": cpu_count,
         "spec": spec,
         "results": results,
-        "wire_probe": run_wire_probe(scale),
         "thread_speedup": (
             sequential / max(1e-9, thread) if thread is not None else None
         ),
@@ -348,11 +156,6 @@ def run_batch(scale: float, n_communities: int = 3) -> dict:
         "process_over_thread": (
             thread / max(1e-9, process)
             if thread is not None and process is not None
-            else None
-        ),
-        "wire_advantage_executor": (
-            process_pickle / max(1e-9, process)
-            if process_pickle is not None and process is not None
             else None
         ),
     }
@@ -374,49 +177,20 @@ def report_text(report: dict) -> str:
             f"{row['setup_seconds'] * 1e3:>8.2f} ms "
             f"{row['run_seconds'] * 1e3:>10.2f} ms"
         )
-        pool = row.get("engine_pool")
-        if pool and (pool["hits"] or pool["misses"]):
-            lines.append(
-                f"{'':16} engine pool: {pool['hits']} hits / "
-                f"{pool['misses']} misses, "
-                f"{pool['setup_seconds'] * 1e3:.2f} ms engine setup"
-            )
         wire = row.get("wire")
         if wire is not None:
             lines.append(
                 f"{'':16} wire {wire['mode']}: "
-                f"{wire['bytes_shipped']} B shipped / "
-                f"{wire['bytes_referenced']} B referenced, "
-                f"{row['encode_submit_ms_per_graph']:.3f} ms "
-                f"encode+submit per graph"
+                f"{wire['bytes_shipped']} B shipped"
             )
     for key, title in (
         ("thread_speedup", "threads vs sequential"),
-        ("process_speedup", "processes (shm) vs sequential"),
-        ("process_over_thread", "processes (shm) vs threads"),
-        ("wire_advantage_executor", "pickle wire vs shm (executor)"),
+        ("process_speedup", "processes vs sequential"),
+        ("process_over_thread", "processes vs threads"),
     ):
         value = report.get(key)
         if value is not None:
             lines.append(f"{title:<30} {value:>6.2f} x")
-    probe = report.get("wire_probe") or []
-    if probe:
-        lines.append("-" * 62)
-        lines.append(
-            "wire probe — per-graph encode+submit "
-            "(pipe transport included)"
-        )
-        lines.append(
-            f"{'n_nodes':>8} {'repeats':>8} {'pickle':>10} "
-            f"{'shm':>10} {'advantage':>10}"
-        )
-        for row in probe:
-            lines.append(
-                f"{row['n_nodes']:>8} {row['repeats']:>8} "
-                f"{row['pickle_ms_per_graph']:>7.3f} ms "
-                f"{row['shm_ms_per_graph']:>7.3f} ms "
-                f"{row['shm_advantage']:>8.2f} x"
-            )
     return "\n".join(lines)
 
 
@@ -448,18 +222,12 @@ def append_trajectory(report: dict) -> Path:
         "n_steps": report["spec"]["solver_config"]["n_steps"],
         "sequential_seconds": by_label["sequential"],
         "thread_seconds": by_label.get(f"threads_{workers}"),
-        # process_seconds keeps its pre-wire meaning (the configuration
-        # the drivers run, now the shm wire); the pickle row rides
-        # alongside so the wire cost stays on the long-term record.
-        "process_seconds": by_label.get(f"processes_{workers}_shm"),
-        "process_pickle_seconds": by_label.get(
-            f"processes_{workers}_pickle"
-        ),
+        # Earlier points timed process_seconds on the shared-memory
+        # wire, since deleted; from here on it is the pickle wire.
+        "process_seconds": by_label.get(f"processes_{workers}"),
         "thread_speedup": report["thread_speedup"],
         "process_speedup": report["process_speedup"],
         "process_over_thread": report["process_over_thread"],
-        "wire_advantage_executor": report["wire_advantage_executor"],
-        "wire_probe": report["wire_probe"],
     }
     data["trajectory"].append(point)
     TRAJECTORY_PATH.write_text(
@@ -481,25 +249,7 @@ def test_batch(benchmark):
     assert report["n_graphs"] >= 8
     labels = {row["label"] for row in report["results"]}
     assert "sequential" in labels
-    assert any(label.endswith("_pickle") for label in labels)
-    assert any(label.endswith("_shm") for label in labels)
-    # The acceptance bar for the shm wire, under the sweep pattern
-    # (repeats > 1, where dedup applies): at n_nodes >= 1000 the
-    # advantage must at least point the right way (the 1/4 MB payload
-    # there costs ~0.1 ms either way, so run-to-run noise straddles
-    # 2x), and from n_nodes >= 4000 — megabyte-scale payloads, where
-    # the wire actually matters — encode+submit must be >= 2x cheaper.
-    # Measured margins on the larger rows are ~4-8x.
-    sweep_rows = [
-        row
-        for row in report["wire_probe"]
-        if row["n_nodes"] >= 1000 and row["repeats"] > 1
-    ]
-    assert sweep_rows
-    assert all(row["shm_advantage"] > 1.0 for row in sweep_rows)
-    large_rows = [r for r in sweep_rows if r["n_nodes"] >= 4000]
-    assert large_rows
-    assert all(row["shm_advantage"] >= 2.0 for row in large_rows)
+    assert any(label.startswith("processes_") for label in labels)
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,7 @@
 The repository's load-bearing guarantees — the flip-delta-only sweep
 loops of PR 3, the zero-allocation engine hot paths of PR 4, the
 registry/config discipline of PR 2 and the array wire format plus
-lock-guarded pool counters of PRs 5–6 — used to be enforced only by
+lock-guarded session state of PRs 5–6 — used to be enforced only by
 convention and by runtime tests that cannot see a regression until a
 benchmark drifts.  This package enforces them *statically*, at review
 time, the way a race detector or sanitizer guards a training stack:
@@ -13,7 +13,7 @@ time, the way a race detector or sanitizer guards a training stack:
 * a decorator-registered rule table (:data:`repro.analysis.RULES`,
   mirroring the ``repro.api`` registry idiom),
 * ``# repro: noqa [RULE,...]`` line suppressions,
-* the project rules REP001–REP005 (:mod:`repro.analysis.rules`), each
+* the project rules REP001–REP006 (:mod:`repro.analysis.rules`), each
   protecting one architectural contract established by an earlier PR.
 
 Entry points: ``repro lint [paths]`` on the CLI,

@@ -46,12 +46,6 @@ class LintConfig:
         Path suffixes where ``repatch`` calls inside loops are the
         delta engine's own cadence mechanism, not streaming code
         hiding a per-iteration re-materialisation.
-    rep007_exempt:
-        Path suffixes allowed to touch
-        ``multiprocessing.shared_memory`` at all — the blessed wire
-        module(s).  Inside them REP007 still requires every
-        ``SharedMemory(create=True)`` to have an ``unlink()`` call
-        reachable from a ``finally`` in the same function.
     """
 
     disable: tuple[str, ...] = ()
@@ -66,7 +60,6 @@ class LintConfig:
     )
     rep005_allow_pickle: tuple[str, ...] = ()
     rep006_exempt: tuple[str, ...] = ("qubo/delta.py",)
-    rep007_exempt: tuple[str, ...] = ("api/shm.py",)
 
     def without_rules(self, disable: tuple[str, ...]) -> "LintConfig":
         """A copy with ``disable`` merged in."""
@@ -82,7 +75,6 @@ _TOML_KEYS = {
     "rep003-allowed": "rep003_allowed",
     "rep005-allow-pickle": "rep005_allow_pickle",
     "rep006-exempt": "rep006_exempt",
-    "rep007-exempt": "rep007_exempt",
 }
 
 

@@ -6,4 +6,3 @@ import repro.analysis.rules.rep003  # noqa: F401
 import repro.analysis.rules.rep004  # noqa: F401
 import repro.analysis.rules.rep005  # noqa: F401
 import repro.analysis.rules.rep006  # noqa: F401
-import repro.analysis.rules.rep007  # noqa: F401

@@ -10,12 +10,13 @@ Two invariants from the process-sharded batch runtime:
   flagged outright; serialisation goes through the array wire format or
   the JSON ``to_dict`` forms.
 
-* **Lock-guarded counter fields.**  A class declaring
-  ``_locked_fields = ("_hits", ...)`` promises that every write to
+* **Lock-guarded fields.**  A class declaring
+  ``_locked_fields = ("_runs", ...)`` promises that every write to
   those attributes outside ``__init__`` happens under
-  ``with self._lock`` (the :class:`repro.qhd.pool.EnginePool`
-  discipline that keeps merged process-pool counters exact).  Plain and
-  augmented assignments — including subscript stores like
+  ``with self._lock`` (the :class:`repro.api.Session` discipline that
+  keeps its run counters exact and its executor handles race-free
+  under concurrent callers).  Plain, augmented and tuple-unpacking
+  assignments — including subscript stores like
   ``self._idle[key] = ...`` — are checked lexically against the
   enclosing ``with`` blocks.
 """
@@ -159,10 +160,19 @@ class WireLockSafety(Rule):
     ) -> Iterator[Finding]:
         if guarded:
             return
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
+        targets: list[ast.expr] = (
+            list(node.targets)
+            if isinstance(node, ast.Assign)
+            else [node.target]
         )
-        for target in targets:
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+                continue
+            if isinstance(target, ast.Starred):
+                targets.append(target.value)
+                continue
             name = self._locked_target(target, locked)
             if name is not None:
                 yield self.finding(
@@ -170,5 +180,5 @@ class WireLockSafety(Rule):
                     node,
                     f"write to locked field 'self.{name}' outside "
                     f"'with self._lock' (declared in _locked_fields); "
-                    f"unguarded writes race the pool counters",
+                    f"unguarded writes race concurrent callers",
                 )

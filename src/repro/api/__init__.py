@@ -13,11 +13,11 @@ solver/detector combination declaratively:
   batch of either (thread-pool fan-out), returning :class:`RunArtifact`
   objects that serialise the spec, result, timings and seed back to
   JSON,
-* :class:`Session` — a reusable run context owning a pooled-engine
-  cache and a persistent worker thread pool; the module-level verbs
-  delegate to the process-wide :func:`default_session`, so repeated
-  and batched runs amortise per-run setup automatically (results stay
-  bit-identical to one-shot runs).
+* :class:`Session` — a reusable run context owning a persistent
+  worker pool (threads or processes); the module-level verbs delegate
+  to the process-wide :func:`default_session`, so repeated and batched
+  runs reuse its workers (results stay bit-identical to one-shot
+  runs).
 
 Example::
 

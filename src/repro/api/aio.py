@@ -54,8 +54,7 @@ class AsyncSession:
         context manager) closes.
     **kwargs:
         Constructor arguments for the private session when
-        ``session`` is ``None`` (``max_workers``, ``executor``,
-        ``wire``, ...).
+        ``session`` is ``None`` (``max_workers``, ``executor``).
 
     Examples
     --------
@@ -154,8 +153,8 @@ class AsyncSession:
         The blocking :meth:`Session.detect_batch` runs on the
         session's dispatch pool (so the loop stays free) and fans out
         over the session's thread/process batch executor as usual —
-        chunking, wire mode and the batch ≡ singles bit-exactness
-        contract are all unchanged.
+        chunking and the batch ≡ singles bit-exactness contract are
+        unchanged.
         """
         return await asyncio.wrap_future(
             self._session._dispatch(

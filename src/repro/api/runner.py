@@ -14,9 +14,8 @@ This module implements the verbs of the ``repro.api`` facade:
 
 The module-level verbs delegate to the process-wide
 :class:`repro.api.Session` (:func:`repro.api.default_session`), which
-owns the engine pool and the persistent worker threads; the private
-``_detect_one`` / ``_solve_one`` helpers here are the session's
-per-run execution core.
+owns the persistent worker pools; the private ``_detect_one`` /
+``_solve_one`` helpers here are the session's per-run execution core.
 """
 
 from __future__ import annotations
@@ -24,13 +23,13 @@ from __future__ import annotations
 import warnings
 from typing import TYPE_CHECKING, Any, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:
     from repro.api.session import Session
-    from repro.api.shm import ShmChunkReader
 
 from repro.api.registry import DETECTORS, SOLVERS, Registry
 from repro.api.spec import RunArtifact, RunSpec, SpecError
-from repro.qhd.pool import EnginePool, attach_engine_pool
 from repro.utils.timer import Stopwatch
 
 
@@ -158,14 +157,11 @@ def _detect_one(
     graph: Any,
     spec: RunSpec,
     index: int,
-    engine_pool: EnginePool | None = None,
     initial_partition: Any = None,
 ) -> "RunArtifact":
     total = Stopwatch().start()
     build = Stopwatch().start()
     detector = build_detector(spec)
-    if engine_pool is not None:
-        attach_engine_pool(detector, engine_pool)
     build.stop()
     if spec.n_communities is None:
         raise SpecError(
@@ -199,15 +195,12 @@ def _solve_one(
     model: Any,
     spec: RunSpec,
     index: int,
-    engine_pool: EnginePool | None = None,
 ) -> "RunArtifact":
     if spec.solver is None:
         raise SpecError("spec.solver is required for solve runs")
     total = Stopwatch().start()
     build = Stopwatch().start()
     solver = build_solver(spec.solver, spec.solver_config, seed=spec.seed)
-    if engine_pool is not None:
-        attach_engine_pool(solver, engine_pool)
     build.stop()
     run = Stopwatch().start()
     result = solver.solve(model)
@@ -248,28 +241,24 @@ def _encode_input(item: Any) -> tuple[str, Any]:
     return ("object", item)
 
 
-def _decode_input(
-    tag: str,
-    payload: Any,
-    reader: "ShmChunkReader | None" = None,
-) -> Any:
+def _payload_nbytes(tag: str, payload: Any) -> int:
+    """Array bytes one encoded input ships (0 for ``object`` payloads)."""
+    if tag == "graph":
+        arrays = payload[1:]
+    elif tag == "qubo":
+        arrays = payload.values()
+    else:
+        return 0
+    return sum(int(a.nbytes) for a in arrays if isinstance(a, np.ndarray))
+
+
+def _decode_input(tag: str, payload: Any) -> Any:
     """Worker-side inverse of :func:`_encode_input` (bit-exact).
 
-    ``shm`` descriptors are first resolved through ``reader`` into the
-    underlying ``(tag, payload)`` pair as read-only segment views.
-    Array payloads are trusted as canonical — they are :meth:`to_arrays`
-    output on both wires — so graph reconstruction adopts them without
-    a canonicalisation pass (a stable no-op on canonical arrays,
-    skipped here so shared-memory views stay zero-copy).
+    Array payloads are trusted as canonical — they are
+    :meth:`to_arrays` output — so graph reconstruction adopts them
+    without a canonicalisation pass.
     """
-    if tag == "shm":
-        from repro.api.shm import ShmWireError
-
-        if reader is None:
-            raise ShmWireError(
-                "shm wire descriptor outside a chunk reader context"
-            )
-        tag, payload = reader.decode(payload)
     if tag == "graph":
         from repro.graphs.graph import Graph
 
@@ -281,39 +270,24 @@ def _decode_input(
     return payload
 
 
-def _worker_initializer(
-    pooling: bool,
-    max_idle_engines: int,
-    max_idle_total: int,
-    blas_threads: int,
-) -> None:
-    """Process-pool initializer: apply the BLAS budget, build the pool.
+def _worker_initializer(blas_threads: int) -> None:
+    """Process-pool initializer: apply the session's BLAS budget.
 
-    Runs in each worker process before it takes its first task.  It
-    sets the worker's OpenBLAS libraries to the session's per-worker
+    Runs in each worker process before it takes its first task and sets
+    the worker's OpenBLAS libraries to the session's per-worker
     ``blas_threads`` budget (a forked worker inherits the parent's
-    count, a spawned one starts at OpenBLAS's default), and every
-    chunk the worker executes afterwards leases engines from the same
-    process-local pool (:func:`repro.qhd.pool.process_pool`), so
-    same-shape runs amortise engine setup within the worker exactly as
-    thread-mode runs do through the session pool.
+    count, a spawned one starts at OpenBLAS's default).
     """
     from repro.api.threads import set_blas_threads
-    from repro.qhd import pool as qhd_pool
 
     set_blas_threads(blas_threads)
-    qhd_pool.init_process_pool(
-        max_idle_per_key=max_idle_engines,
-        max_idle_total=max_idle_total,
-        enabled=pooling,
-    )
 
 
 def _run_chunk(
     kind: str,
     spec_payload: dict[str, Any] | list[dict[str, Any]],
     chunk: list[tuple[int, tuple[str, Any]]],
-) -> tuple[list[tuple[int, "RunArtifact"]], dict[str, float] | None]:
+) -> tuple[list[tuple[int, "RunArtifact"]], None]:
     """Process-pool task: run one chunk of encoded inputs sequentially.
 
     ``chunk`` is a list of ``(index, (tag, payload))`` pairs carrying
@@ -321,40 +295,19 @@ def _run_chunk(
     reassemble results in order regardless of which worker ran which
     chunk.  ``spec_payload`` is either one spec dict shared by every
     entry or a list of spec dicts aligned with the chunk (per-item
-    specs).  Shared-memory payloads are resolved through one
-    :class:`repro.api.shm.ShmChunkReader` whose attachments are closed
-    when the chunk exits — success or not.  Returns the indexed
-    artifacts plus the worker pool's counter delta for this chunk
-    (merged into the parent session's pool counters), or ``None`` when
-    pooling is disabled.
+    specs).  Returns ``(indexed artifacts, None)``.
     """
-    from repro.api.shm import ShmChunkReader
-    from repro.qhd import pool as qhd_pool
-
-    pool = qhd_pool.process_pool()
     if isinstance(spec_payload, list):
         specs = [RunSpec.from_dict(entry) for entry in spec_payload]
     else:
         shared = RunSpec.from_dict(spec_payload)
         specs = [shared] * len(chunk)
     run_one = _detect_one if kind == "detect" else _solve_one
-    before = pool.counter_snapshot() if pool is not None else None
-    results = []
-    with ShmChunkReader() as reader:
-        for (index, (tag, payload)), spec in zip(chunk, specs):
-            item = _decode_input(tag, payload, reader=reader)
-            results.append(
-                (index, run_one(item, spec, index, engine_pool=pool))
-            )
-            # Drop the reconstructed input before the reader closes so
-            # segment views don't pin the mapping past the chunk.
-            del item
-    delta = (
-        EnginePool.counter_delta(before, pool.counter_snapshot())
-        if pool is not None
-        else None
-    )
-    return results, delta
+    results = [
+        (index, run_one(_decode_input(tag, payload), spec, index))
+        for (index, (tag, payload)), spec in zip(chunk, specs)
+    ]
+    return results, None  # still a pair: trace wrappers unpack two values
 
 
 def _session() -> Session:
@@ -372,9 +325,8 @@ def _session() -> Session:
 def detect(graph: Any, spec: RunSpec | dict[str, Any] | str) -> Any:
     """Run one detection spec on ``graph`` and return a RunArtifact.
 
-    Runs through the process-wide :func:`repro.api.default_session`, so
-    repeated calls reuse pooled evolution engines; results are
-    bit-identical to a fresh, unpooled run.
+    Runs through the process-wide :func:`repro.api.default_session`;
+    results are bit-identical to a run through a fresh session.
 
     Examples
     --------
@@ -413,9 +365,8 @@ def detect_batch(
     Notes
     -----
     Delegates to :meth:`repro.api.Session.detect_batch` on the
-    process-wide default session: worker threads persist across calls
-    and same-shape QHD runs lease pooled evolution engines instead of
-    rebuilding phase tables and buffers per graph.
+    process-wide default session, whose worker threads persist across
+    calls.
 
     Examples
     --------
@@ -460,7 +411,7 @@ def solve_batch(
     gets its own freshly built, identically-seeded solver, so the batch
     reproduces the corresponding sequence of single :func:`solve` calls
     for any ``max_workers``.  Runs through the default session's
-    persistent thread pool and engine pool.
+    persistent thread pool.
 
     Examples
     --------

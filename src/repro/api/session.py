@@ -1,20 +1,15 @@
-"""Reusable run sessions: pooled engines + persistent worker executors.
+"""Reusable run sessions: persistent worker executors.
 
 A :class:`Session` is the service-shaped counterpart of the one-shot
 :func:`repro.api.detect` / :func:`repro.api.solve` verbs.  It owns the
 reusable runtime state:
 
-* an :class:`repro.qhd.pool.EnginePool` — every QHD solver built by the
-  session leases its evolution engine (phase tables + workspace
-  buffers) from the pool instead of constructing one, so repeated runs
-  and same-shape batches amortise the whole-run precomputation;
 * a persistent batch executor — ``executor="thread"`` (the default)
   fans batches out over one long-lived
   :class:`~concurrent.futures.ThreadPoolExecutor`;
   ``executor="process"`` shards them over a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers each
-  own a lazily built process-local engine pool, so CPU-bound batches
-  scale with cores instead of contending for one GIL.
+  :class:`~concurrent.futures.ProcessPoolExecutor`, so CPU-bound
+  batches scale with cores instead of contending for one GIL.
   ``executor="auto"`` picks processes on multi-core machines;
 * the process's BLAS thread budget — when the session first runs work
   concurrently it sets every loaded OpenBLAS to
@@ -24,20 +19,13 @@ reusable runtime state:
 
 Process-mode handoff is array-native: graphs ship as
 :meth:`repro.graphs.Graph.to_arrays` tuples and QUBO models as
-``to_arrays()`` bundles (see :mod:`repro.api.runner`), never pickled
-object graphs.  With ``wire="shm"`` (the ``"auto"`` default on the
-process backend) the arrays don't even ride the task payload: each
-unique input is written once per batch into
-:mod:`multiprocessing.shared_memory` segments
-(:mod:`repro.api.shm`) and chunks carry only ``(segment, dtype,
-shape, offset)`` descriptors, with the creator unlinking every
-segment in a ``finally`` and :meth:`Session.close` sweeping any
-straggler writers.  Batches are sharded into ``~4 × workers``
-contiguous chunks pulled from the executor's shared queue, so a
-straggling chunk cannot serialise the tail; results are reassembled
-in input order.
+``to_arrays()`` bundles inside the task payload (see
+:mod:`repro.api.runner`), never pickled object graphs.  Batches are
+sharded into ``~4 × workers`` contiguous chunks pulled from the
+executor's shared queue, so a straggling chunk cannot serialise the
+tail; results are reassembled in input order.
 
-Determinism is unchanged by any of this: every run still gets its own
+Determinism is unchanged by any of this: every run gets its own
 freshly built, identically-seeded pipeline, so **batch ≡ sequence of
 seeded single runs, bit-exact, for every executor and any chunking**
 (pinned by ``tests/api/test_session.py`` and
@@ -45,7 +33,7 @@ seeded single runs, bit-exact, for every executor and any chunking**
 
 The module-level facade verbs delegate to a process-wide
 :func:`default_session`, so plain ``api.detect_batch(...)`` calls
-amortise engine setup automatically.  An :mod:`atexit` hook closes the
+reuse its executors.  An :mod:`atexit` hook closes the
 default session on interpreter exit, shutting down its executors (with
 a process pool this is what reaps the worker processes).
 
@@ -76,17 +64,13 @@ from concurrent.futures import (
     wait,
 )
 from types import TracebackType
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.api import runner
 from repro.api.config import Configurable
 from repro.api.spec import RunArtifact, RunSpec
 from repro.api.threads import available_cores, blas_threads, set_blas_threads
 from repro.exceptions import ReproError
-from repro.qhd.pool import EnginePool
-
-if TYPE_CHECKING:
-    from repro.api.shm import ShmBatchWriter
 
 #: Batch fan-outs are sharded into up to this many chunks per worker.
 #: More chunks than workers is what makes the shared submission queue a
@@ -95,18 +79,6 @@ if TYPE_CHECKING:
 CHUNKS_PER_WORKER = 4
 
 _EXECUTORS = ("thread", "process", "auto")
-
-_WIRES = ("pickle", "shm", "auto")
-
-#: Zeroed wire-counter template (shared keys with
-#: :meth:`repro.api.shm.ShmBatchWriter.counters`).
-_WIRE_COUNTER_KEYS = (
-    "segments_created",
-    "bundles_encoded",
-    "bundles_reused",
-    "bytes_shipped",
-    "bytes_referenced",
-)
 
 
 class SessionError(ReproError):
@@ -128,7 +100,7 @@ def _mp_context() -> multiprocessing.context.BaseContext | None:
 
 
 class Session(Configurable):
-    """A reusable run context amortising per-run setup across calls.
+    """A reusable run context whose executors persist across calls.
 
     Parameters
     ----------
@@ -141,33 +113,14 @@ class Session(Configurable):
         :class:`RuntimeWarning` (the executor is sized once per
         session); narrower requests are honoured exactly.  It is also
         the session's only thread setting: see "Thread budget" below.
-    max_idle_engines:
-        Idle evolution engines kept per distinct run shape in the
-        session's engine pool (see
-        :class:`repro.qhd.pool.EnginePool`).  In process mode each
-        worker's pool uses the same cap.
-    pooling:
-        ``False`` disables engine pooling entirely — every run
-        constructs fresh engines, exactly like the pre-session code
-        path.  Useful for A/B benchmarking the pool itself.
     executor:
         ``"thread"`` (default) fans batches out over a persistent
         thread pool; ``"process"`` shards them over a persistent
-        process pool with per-worker engine pools and array-native
-        input handoff; ``"auto"`` resolves to ``"process"`` on
-        multi-core machines and ``"thread"`` otherwise.  Single
-        :meth:`detect` / :meth:`solve` calls always run in-process —
-        the knob only shapes batch fan-out, never results.
-    wire:
-        How process-mode batches hand their inputs to workers.
-        ``"shm"`` writes each unique input's arrays into
-        shared-memory segments once per batch and ships only
-        descriptors (:mod:`repro.api.shm`); ``"pickle"`` ships the
-        arrays inside the task payload (the PR 6 wire); ``"auto"``
-        (default) resolves to ``"shm"``.  Thread and sequential
-        backends never serialise inputs, so the knob is a no-op
-        there.  Like ``executor``, it shapes throughput only, never
-        results.
+        process pool with array-native input handoff; ``"auto"``
+        resolves to ``"process"`` on multi-core machines and
+        ``"thread"`` otherwise.  Single :meth:`detect` /
+        :meth:`solve` calls always run in-process — the knob only
+        shapes batch fan-out, never results.
 
     Like every other knob in the library, the constructor parameters
     round-trip through :meth:`Configurable.to_config` /
@@ -208,13 +161,22 @@ class Session(Configurable):
     'process'
     """
 
+    # Every write to these outside __init__ must hold self._lock; the
+    # REP005 invariant rule (repro.analysis) enforces the declaration.
+    _locked_fields = (
+        "_runs",
+        "_clamped_calls",
+        "_closed",
+        "_thread_executor",
+        "_process_executor",
+        "_dispatch_executor",
+        "_bytes_shipped",
+    )
+
     def __init__(
         self,
         max_workers: int | None = None,
-        max_idle_engines: int = 4,
-        pooling: bool = True,
         executor: str = "thread",
-        wire: str = "auto",
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise SessionError(
@@ -225,29 +187,17 @@ class Session(Configurable):
                 f"executor must be one of {list(_EXECUTORS)}, "
                 f"got {executor!r}"
             )
-        if wire not in _WIRES:
-            raise SessionError(
-                f"wire must be one of {list(_WIRES)}, got {wire!r}"
-            )
         cores = available_cores()
         self._max_workers = (
             min(8, cores) if max_workers is None else int(max_workers)
         )
-        self._max_idle_engines = int(max_idle_engines)
-        self._pooling = bool(pooling)
         self._executor = executor
-        self._wire = wire
         self._backend = (
             ("process" if cores > 1 else "thread")
             if executor == "auto"
             else executor
         )
         self._blas_budget = max(1, cores // self._max_workers)
-        self._engine_pool = (
-            EnginePool(max_idle_per_key=self._max_idle_engines)
-            if pooling
-            else None
-        )
         self._thread_executor: ThreadPoolExecutor | None = None
         self._process_executor: ProcessPoolExecutor | None = None
         self._dispatch_executor: ThreadPoolExecutor | None = None
@@ -256,22 +206,11 @@ class Session(Configurable):
         self._runs = 0
         self._clamped_calls = 0
         self._clamp_warned: set[int] = set()
-        self._wire_counters = dict.fromkeys(_WIRE_COUNTER_KEYS, 0)
-        self._shm_writers: set[ShmBatchWriter] = set()
+        self._bytes_shipped = 0
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    @property
-    def engine_pool(self) -> EnginePool | None:
-        """The session's engine pool (``None`` when pooling is off).
-
-        In process mode this parent pool serves single :meth:`detect` /
-        :meth:`solve` calls and accumulates the per-worker pools'
-        counters, merged back after every batch chunk.
-        """
-        return self._engine_pool
-
     @property
     def max_workers(self) -> int:
         """Width of the persistent executor."""
@@ -283,52 +222,35 @@ class Session(Configurable):
         return self._backend
 
     @property
-    def wire_mode(self) -> str:
-        """The resolved process-batch wire: ``"pickle"`` or ``"shm"``.
-
-        Only meaningful when :attr:`executor_backend` is
-        ``"process"`` — the other backends never serialise inputs.
-        """
-        return "shm" if self._wire == "auto" else self._wire
-
-    @property
     def closed(self) -> bool:
         """Whether :meth:`close` has been called."""
         return self._closed
 
     def stats(self) -> dict[str, Any]:
-        """Run counters plus the engine pool's counters (JSON-ready).
+        """Run counters and the resolved backend (JSON-ready).
 
-        In process mode the pool counters include the per-worker pools'
-        work, merged back chunk by chunk.  ``blas_threads`` is the
-        process's OpenBLAS thread count read back from the library
-        (``None`` without OpenBLAS).
+        ``wire.bytes_shipped`` counts the input array bytes pickled
+        into process-worker task payloads (the thread backend never
+        serialises inputs).  ``blas_threads`` is the process's OpenBLAS
+        thread count read back from the library (``None`` without
+        OpenBLAS).
         """
         with self._lock:
             runs = self._runs
             clamped = self._clamped_calls
-            wire_counters = dict(self._wire_counters)
+            shipped = self._bytes_shipped
         return {
             "runs": runs,
             "clamped_calls": clamped,
             "max_workers": self._max_workers,
             "executor": self._backend,
             "blas_threads": blas_threads(),
-            "wire": {"mode": self.wire_mode, **wire_counters},
-            "engine_pool": (
-                None
-                if self._engine_pool is None
-                else self._engine_pool.stats()
-            ),
+            "wire": {"mode": "pickle", "bytes_shipped": shipped},
         }
 
     def close(self) -> None:
-        """Shut the executors down and drop every idle engine.
+        """Shut the executors down (terminating any worker processes).
 
-        In process mode this terminates the worker processes and
-        sweeps any shared-memory batch writer that has not yet been
-        closed by its batch's own ``finally`` (the straggler
-        guarantee: no segment this session created outlives it).
         Idempotent; further run calls raise :class:`SessionError`.
         """
         with self._lock:
@@ -344,7 +266,6 @@ class Session(Configurable):
             process_executor, self._process_executor = (
                 self._process_executor, None,
             )
-            writers, self._shm_writers = self._shm_writers, set()
         # The dispatch pool first: in-flight submitted jobs may still be
         # waiting on the batch executors, so those must outlive it.
         if dispatch_executor is not None:
@@ -353,10 +274,6 @@ class Session(Configurable):
             thread_executor.shutdown(wait=True)
         if process_executor is not None:
             process_executor.shutdown(wait=True)
-        for writer in writers:
-            writer.close()
-        if self._engine_pool is not None:
-            self._engine_pool.clear()
 
     def __enter__(self) -> "Session":
         return self
@@ -373,8 +290,7 @@ class Session(Configurable):
         state = "closed" if self._closed else "open"
         return (
             f"Session(max_workers={self._max_workers}, "
-            f"executor={self._backend!r}, "
-            f"pooling={self._engine_pool is not None}, {state})"
+            f"executor={self._backend!r}, {state})"
         )
 
     # ------------------------------------------------------------------
@@ -383,18 +299,14 @@ class Session(Configurable):
     def detect(self, graph: Any, spec: Any) -> RunArtifact:
         """Run one detection spec on ``graph`` (see :func:`repro.api.detect`)."""
         self._check_open()
-        artifact = runner._detect_one(
-            graph, runner._spec_of(spec), 0, engine_pool=self._engine_pool
-        )
+        artifact = runner._detect_one(graph, runner._spec_of(spec), 0)
         self._count(1)
         return artifact
 
     def solve(self, model: Any, spec: Any) -> RunArtifact:
         """Run one solve spec on ``model`` (see :func:`repro.api.solve`)."""
         self._check_open()
-        artifact = runner._solve_one(
-            model, runner._spec_of(spec), 0, engine_pool=self._engine_pool
-        )
+        artifact = runner._solve_one(model, runner._spec_of(spec), 0)
         self._count(1)
         return artifact
 
@@ -466,9 +378,9 @@ class Session(Configurable):
     ) -> Any:
         """Stream detection over edge-event batches through this session.
 
-        See :func:`repro.api.detect_stream` — every per-batch QHD
-        solve leases engines from this session's pool, and the
-        incremental QUBO / flip-delta state stays warm across batches.
+        See :func:`repro.api.detect_stream` — every per-batch run is
+        counted in this session's :meth:`stats`, and the incremental
+        QUBO / flip-delta state stays warm across batches.
         """
         from repro.api.stream import detect_stream
 
@@ -486,7 +398,7 @@ class Session(Configurable):
 
         Every graph gets its own freshly built, identically-seeded
         detector (batch ≡ sequence of single runs, bit-exact, for every
-        executor, wire mode and chunking).  ``spec`` may also be a
+        executor and chunking).  ``spec`` may also be a
         list/tuple of specs aligned one-to-one with ``graphs`` —
         per-item seeds and configs for sweep drivers — with the same
         contract per item.  ``max_workers`` above the session's width
@@ -506,7 +418,7 @@ class Session(Configurable):
         The solve-side counterpart of :meth:`detect_batch`: each model
         gets a freshly built, identically-seeded solver, so the batch
         reproduces the corresponding sequence of single :meth:`solve`
-        calls for any worker count, executor backend and wire mode.
+        calls for any worker count, executor backend and chunking.
         ``spec`` may be a list/tuple of specs aligned with ``models``.
         """
         return self._run_batch("solve", models, spec, max_workers)
@@ -543,12 +455,7 @@ class Session(Configurable):
                     max_workers=self._max_workers,
                     mp_context=_mp_context(),
                     initializer=runner._worker_initializer,
-                    initargs=(
-                        self._pooling,
-                        self._max_idle_engines,
-                        16,
-                        self._blas_budget,
-                    ),
+                    initargs=(self._blas_budget,),
                 )
             return self._process_executor
 
@@ -585,22 +492,16 @@ class Session(Configurable):
         if self._backend == "process":
             executor = self._ensure_process_executor()
             tag, payload = runner._encode_input(item)
-            from repro.api import shm as shm_wire
-
-            self._fold_wire_counters(
-                {"bytes_shipped": shm_wire.payload_nbytes(tag, payload)}
-            )
-            chunk_results, delta = executor.submit(
+            self._count_shipped(runner._payload_nbytes(tag, payload))
+            chunk_results, _ = executor.submit(
                 runner._run_chunk, kind, spec.to_dict(), [(0, (tag, payload))]
             ).result()
-            if delta is not None and self._engine_pool is not None:
-                self._engine_pool.merge_counters(delta)
             artifact = chunk_results[0][1]
         else:
             run_one = (
                 runner._detect_one if kind == "detect" else runner._solve_one
             )
-            artifact = run_one(item, spec, 0, engine_pool=self._engine_pool)
+            artifact = run_one(item, spec, 0)
         self._count(1)
         return artifact
 
@@ -671,14 +572,13 @@ class Session(Configurable):
         specs, shared = self._resolve_specs(inputs, spec)
         if not inputs:
             # Uniform empty-batch contract for every executor backend:
-            # no executor spin-up, no engine-pool traffic, just [].
+            # no executor spin-up, just [].
             return []
         width = self._resolve_width(max_workers, len(inputs))
         run_one = runner._detect_one if kind == "detect" else runner._solve_one
-        pool = self._engine_pool
         if width <= 1 or len(inputs) <= 1:
             results = [
-                run_one(item, specs[index], index, engine_pool=pool)
+                run_one(item, specs[index], index)
                 for index, item in enumerate(inputs)
             ]
         elif self._backend == "process":
@@ -704,7 +604,6 @@ class Session(Configurable):
         only shapes throughput).
         """
         executor = self._ensure_thread_executor()
-        pool = self._engine_pool
         gate = (
             threading.BoundedSemaphore(width)
             if width < self._max_workers
@@ -713,9 +612,9 @@ class Session(Configurable):
 
         def task(item: Any, index: int) -> Any:
             if gate is None:
-                return run_one(item, specs[index], index, engine_pool=pool)
+                return run_one(item, specs[index], index)
             with gate:
-                return run_one(item, specs[index], index, engine_pool=pool)
+                return run_one(item, specs[index], index)
 
         futures = [
             executor.submit(task, item, index)
@@ -723,42 +622,9 @@ class Session(Configurable):
         ]
         return [future.result() for future in futures]
 
-    def _fold_wire_counters(self, counters: dict[str, int]) -> None:
+    def _count_shipped(self, nbytes: int) -> None:
         with self._lock:
-            for key in _WIRE_COUNTER_KEYS:
-                self._wire_counters[key] += counters.get(key, 0)
-
-    def _encode_batch(
-        self, inputs: list[Any]
-    ) -> tuple[list[tuple[str, Any]], "ShmBatchWriter | None", int]:
-        """Lower batch inputs onto the resolved wire.
-
-        Returns ``(encoded, writer, bytes_shipped)``.  On the shm wire
-        every array bundle goes through one :class:`ShmBatchWriter`
-        (deduped on input identity — repeated graphs in one batch share
-        a segment) and only descriptors enter the task payloads; on the
-        pickle wire (and for ``object``-tag fallbacks either way) the
-        payload carries the bytes and they are tallied as shipped.
-        """
-        from repro.api import shm as shm_wire
-
-        writer: ShmBatchWriter | None = None
-        if self.wire_mode == "shm":
-            writer = shm_wire.ShmBatchWriter()
-            with self._lock:
-                self._shm_writers.add(writer)
-        encoded: list[tuple[str, Any]] = []
-        shipped = 0
-        for item in inputs:
-            tag, payload = runner._encode_input(item)
-            if writer is not None and tag in shm_wire.SHM_TAGS:
-                encoded.append(
-                    ("shm", writer.encode(tag, payload, key=id(item)))
-                )
-            else:
-                shipped += shm_wire.payload_nbytes(tag, payload)
-                encoded.append((tag, payload))
-        return encoded, writer, shipped
+            self._bytes_shipped += nbytes
 
     def _run_batch_processes(
         self,
@@ -771,83 +637,60 @@ class Session(Configurable):
         """Chunked, order-preserving fan-out over the process pool.
 
         Inputs are lowered to their array wire form
-        (:func:`repro.api.runner._encode_input`) — or, on the shm wire,
-        to shared-memory descriptors written once per unique input —
-        sharded into up to ``CHUNKS_PER_WORKER × width`` contiguous
-        chunks and submitted with at most ``width`` chunks in flight:
-        the executor's shared queue hands the next chunk to whichever
-        worker frees up first, so a straggler only delays its own
-        chunk, not the tail.  Worker pool counters ride back with each
-        chunk and are merged into the session pool's counters; wire
-        counters fold into :meth:`stats`.  The shm writer's segments
-        are unlinked in the ``finally`` whether the batch succeeds or a
-        worker raises mid-batch.
+        (:func:`repro.api.runner._encode_input`), sharded into up to
+        ``CHUNKS_PER_WORKER × width`` contiguous chunks and submitted
+        with at most ``width`` chunks in flight: the executor's shared
+        queue hands the next chunk to whichever worker frees up first,
+        so a straggler only delays its own chunk, not the tail.  The
+        shipped array bytes fold into :meth:`stats`.
         """
         executor = self._ensure_process_executor()
-        encoded, writer, shipped = self._encode_batch(inputs)
-        try:
-            shared_payload = None if shared is None else shared.to_dict()
-            spec_dicts = (
-                None
-                if shared is not None
-                else [spec.to_dict() for spec in specs]
+        encoded = [runner._encode_input(item) for item in inputs]
+        self._count_shipped(
+            sum(runner._payload_nbytes(tag, data) for tag, data in encoded)
+        )
+        shared_payload = None if shared is None else shared.to_dict()
+        spec_dicts = (
+            None if shared is not None else [spec.to_dict() for spec in specs]
+        )
+        n = len(inputs)
+        n_chunks = min(n, width * CHUNKS_PER_WORKER)
+        base, extra = divmod(n, n_chunks)
+        chunks = []
+        start = 0
+        for chunk_index in range(n_chunks):
+            size = base + (1 if chunk_index < extra else 0)
+            chunks.append(
+                [(i, encoded[i]) for i in range(start, start + size)]
             )
-            n = len(inputs)
-            n_chunks = min(n, width * CHUNKS_PER_WORKER)
-            base, extra = divmod(n, n_chunks)
-            chunks = []
-            start = 0
-            for chunk_index in range(n_chunks):
-                size = base + (1 if chunk_index < extra else 0)
-                chunks.append(
-                    [(i, encoded[i]) for i in range(start, start + size)]
+            start += size
+
+        results: list[Any] = [None] * n
+        pending = iter(chunks)
+        in_flight = set()
+
+        def submit_next() -> None:
+            chunk = next(pending, None)
+            if chunk is not None:
+                payload = (
+                    shared_payload
+                    if spec_dicts is None
+                    else [spec_dicts[i] for i, _ in chunk]
                 )
-                start += size
+                in_flight.add(
+                    executor.submit(runner._run_chunk, kind, payload, chunk)
+                )
 
-            results: list[Any] = [None] * n
-            pending = iter(chunks)
-            in_flight = set()
-
-            def submit_next() -> None:
-                chunk = next(pending, None)
-                if chunk is not None:
-                    payload = (
-                        shared_payload
-                        if spec_dicts is None
-                        else [spec_dicts[i] for i, _ in chunk]
-                    )
-                    in_flight.add(
-                        executor.submit(
-                            runner._run_chunk, kind, payload, chunk
-                        )
-                    )
-
-            for _ in range(min(width, n_chunks)):
+        for _ in range(min(width, n_chunks)):
+            submit_next()
+        while in_flight:
+            done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                chunk_results, _ = future.result()
+                for index, artifact in chunk_results:
+                    results[index] = artifact
                 submit_next()
-            while in_flight:
-                done, in_flight = wait(
-                    in_flight, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    chunk_results, delta = future.result()
-                    for index, artifact in chunk_results:
-                        results[index] = artifact
-                    if delta is not None and self._engine_pool is not None:
-                        self._engine_pool.merge_counters(delta)
-                    submit_next()
-            return results
-        finally:
-            counters = (
-                dict.fromkeys(_WIRE_COUNTER_KEYS, 0)
-                if writer is None
-                else writer.counters()
-            )
-            counters["bytes_shipped"] += shipped
-            self._fold_wire_counters(counters)
-            if writer is not None:
-                writer.close()
-                with self._lock:
-                    self._shm_writers.discard(writer)
+        return results
 
 
 @contextlib.contextmanager
@@ -859,8 +702,8 @@ def session_scope(
     The experiment drivers and CLI commands accept an optional caller
     session; this scope is their uniform plumbing — a caller-provided
     session is yielded untouched (the caller owns its lifecycle), and
-    the ``None`` case builds a throwaway session that is closed (and
-    its shared-memory writers swept) when the block exits.
+    the ``None`` case builds a throwaway session that is closed when
+    the block exits.
 
     Examples
     --------
@@ -885,8 +728,8 @@ def session_scope(
 _default_session: Session | None = None
 _default_lock = threading.Lock()
 #: Set by the atexit hook: once the interpreter is tearing down, no
-#: replacement default session may be built — its executors and shm
-#: segments would never be reaped (there is no later hook to close
+#: replacement default session may be built — its executors would
+#: never be reaped (there is no later hook to close
 #: them), which is exactly the zombie-session leak the flag prevents.
 _default_shutdown = False
 
@@ -896,8 +739,8 @@ def default_session() -> Session:
 
     Backs the module-level :func:`repro.api.detect` /
     :func:`repro.api.solve` / :func:`repro.api.detect_batch` /
-    :func:`repro.api.solve_batch` verbs, so plain facade calls amortise
-    engine setup and executor spin-up without any session plumbing.
+    :func:`repro.api.solve_batch` verbs, so plain facade calls reuse
+    one set of executors without any session plumbing.
     It is closed automatically on interpreter exit (an :mod:`atexit`
     hook), which shuts its executors down — with a process-pool
     backend that is what reaps the worker processes.
@@ -906,9 +749,8 @@ def default_session() -> Session:
     explicit :func:`_close_default_session`) is transparently replaced
     — the still-registered atexit hook reaps the replacement too.
     Once the hook itself has run, building a replacement would leak its
-    executors and shared-memory segments with nothing left to close
-    them, so facade calls during interpreter teardown raise
-    :class:`SessionError` instead.
+    executors with nothing left to close them, so facade calls during
+    interpreter teardown raise :class:`SessionError` instead.
 
     Examples
     --------
@@ -951,8 +793,8 @@ def _shutdown_default_session() -> None:
 
     Unlike :func:`_close_default_session` this also latches
     ``_default_shutdown``, so a late facade call cannot silently
-    rebuild a zombie session whose process pool and shm segments would
-    never be reaped (no atexit hook runs after this one).
+    rebuild a zombie session whose process pool would never be
+    reaped (no atexit hook runs after this one).
 
     Registered with :mod:`atexit` so a plain-facade process never leaks
     its executors: thread pools are joined and, when a process backend

@@ -185,8 +185,9 @@ def detect_stream(
         The detection :class:`RunSpec` (or dict / JSON text) re-run
         after every batch; ``n_communities`` is required.
     session:
-        A :class:`repro.api.Session` whose engine pool serves every
-        per-batch QHD solve; ``None`` uses the process-wide
+        The :class:`repro.api.Session` the stream runs in (its
+        :meth:`~repro.api.Session.stats` count every batch, and
+        closing it stops the stream); ``None`` uses the process-wide
         :func:`repro.api.default_session`.
     warm_start:
         ``True`` (default) maintains the incremental QUBO + flip-delta
@@ -251,11 +252,7 @@ def _stream(
                 if warm is None:
                     warm = previous
             artifact = runner._detect_one(
-                graph,
-                spec,
-                index,
-                engine_pool=session.engine_pool,
-                initial_partition=warm,
+                graph, spec, index, initial_partition=warm
             )
             session._count(1)
             labels = np.asarray(artifact.result.labels)

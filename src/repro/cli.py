@@ -165,14 +165,10 @@ def _merge_spec_overrides(spec, args: argparse.Namespace):
 
 def _session_line(stats: dict) -> str:
     """Render the resolved session backend for CLI output."""
-    wire = stats.get("wire") or {}
-    wire_note = (
-        f", {wire['mode']} wire" if stats["executor"] == "process" else ""
-    )
     blas = stats["blas_threads"]
     return (
         f"executor:     {stats['executor']} "
-        f"({stats['max_workers']} workers{wire_note}, "
+        f"({stats['max_workers']} workers, "
         f"BLAS threads {'n/a' if blas is None else blas})"
     )
 
@@ -184,22 +180,17 @@ def _detect_repeated(
     repeats: int,
     executor: str = "thread",
     max_workers: int | None = None,
-    wire: str = "auto",
 ):
     """Run ``spec`` ``repeats`` times through one reusable session.
 
     Demonstrates (and exercises) the session runtime from the CLI: the
     repeats go through :meth:`repro.api.Session.detect_batch`, so
-    ``--executor``/``--max-workers``/``--wire`` pick the backend
-    (persistent thread pool, or a process pool with per-worker engine
-    pools and pickle vs shared-memory input handoff) and same-shape QHD
-    runs lease cached evolution engines instead of rebuilding phase
-    tables and workspace buffers.  Seeded runs are bit-identical for
-    every executor and wire, so only the last artifact is kept.
+    ``--executor``/``--max-workers`` pick the backend (persistent
+    thread pool, or a process pool fed array payloads).  Seeded runs
+    are bit-identical for every executor, so only the last artifact is
+    kept.
     """
-    with api.Session(
-        max_workers=max_workers, executor=executor, wire=wire
-    ) as session:
+    with api.Session(max_workers=max_workers, executor=executor) as session:
         artifacts = session.detect_batch([graph] * repeats, spec)
         stats = session.stats()
     reference = artifacts[0].result.labels
@@ -218,14 +209,6 @@ def _detect_repeated(
             f"  run {number:<3d} total {timings['total'] * 1e3:8.2f} ms "
             f"(build {timings['build'] * 1e3:7.2f} ms, "
             f"run {timings['run'] * 1e3:8.2f} ms)"
-        )
-    pool_stats = stats.get("engine_pool") or {}
-    if pool_stats.get("hits") or pool_stats.get("misses"):
-        print(
-            f"engine pool:  {pool_stats.get('hits', 0)} hits / "
-            f"{pool_stats.get('misses', 0)} misses, "
-            f"{pool_stats.get('setup_seconds', 0.0) * 1e3:.2f} ms "
-            f"spent on engine setup"
         )
     return artifacts[-1]
 
@@ -281,7 +264,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 args.repeat,
                 executor=args.executor,
                 max_workers=args.max_workers,
-                wire=args.wire,
             )
         else:
             artifact = api.detect(graph, spec)
@@ -351,9 +333,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     artifacts = []
     try:
         session = api.Session(
-            max_workers=args.max_workers,
-            executor=args.executor,
-            wire=args.wire,
+            max_workers=args.max_workers, executor=args.executor
         )
     except api.SessionError as error:
         raise SystemExit(str(error)) from None
@@ -396,9 +376,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     scale = args.scale
     try:
         session = api.Session(
-            max_workers=args.max_workers,
-            executor=args.executor,
-            wire=args.wire,
+            max_workers=args.max_workers, executor=args.executor
         )
     except api.SessionError as error:
         raise SystemExit(str(error)) from None
@@ -457,7 +435,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_body_bytes=args.max_body_bytes,
             max_workers=args.max_workers,
             executor=args.executor,
-            wire=args.wire,
         )
     except (api.SessionError, OSError) as error:
         raise SystemExit(str(error)) from None
@@ -535,7 +512,7 @@ def _add_session_flags(
     """Attach the uniform session-backend flags to a subcommand.
 
     ``repro detect --repeat``, ``repro stream``, ``repro bench`` and
-    ``repro serve`` all drive :class:`repro.api.Session`; these three
+    ``repro serve`` all drive :class:`repro.api.Session`; these two
     flags pick its backend identically everywhere, and each command
     prints the resolved backend it ran on.
     """
@@ -547,8 +524,8 @@ def _add_session_flags(
         default=default_executor,
         help=(
             "session batch backend: 'thread' (one persistent thread "
-            "pool), 'process' (process pool with per-worker engine "
-            "pools), or 'auto' (processes on multi-core machines; "
+            "pool), 'process' (one persistent process pool), or "
+            "'auto' (processes on multi-core machines; "
             f"default: {default_executor})"
         ),
     )
@@ -561,17 +538,6 @@ def _add_session_flags(
             "cores // width BLAS threads each, a lone run keeps every "
             f"core (default: min(8, cores); cores = {available_cores()} "
             "here)"
-        ),
-    )
-    parser.add_argument(
-        "--wire",
-        choices=("pickle", "shm", "auto"),
-        default="auto",
-        help=(
-            "process-backend input handoff: 'shm' ships inputs "
-            "through shared-memory segments, 'pickle' inside task "
-            "payloads; 'auto' (default) resolves to shm.  No-op on "
-            "the thread backend"
         ),
     )
 
@@ -639,9 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "run the spec this many times through one reusable session "
-            "(pooled QHD engines; prints per-run timings) and report "
-            "the last run; --executor, --max-workers and --wire apply "
-            "only to these repeats"
+            "(prints per-run timings) and report the last run; "
+            "--executor and --max-workers apply only to these repeats"
         ),
     )
     _add_session_flags(detect, default_executor="thread")

@@ -12,8 +12,8 @@ front, the QHD pipelines fan out as one
 :meth:`repro.api.Session.detect_batch` call with per-trial specs, the
 exact branch & bound budgets are derived from the QHD artifacts, and the
 exact pipelines fan out as a second batch — so on a multi-core runner
-the whole table parallelises across processes over the shared-memory
-wire, while every trial still runs its own freshly seeded pipeline
+the whole table parallelises across processes over the array wire,
+while every trial still runs its own freshly seeded pipeline
 (rows are bit-identical to the old per-trial loop).
 """
 
@@ -301,8 +301,8 @@ def run_large_networks(
     :meth:`repro.api.Session.detect_batch`, then the matched-budget
     exact pipelines as a second batch whose per-trial time limits come
     from the QHD artifacts.  ``session=None`` uses a throwaway
-    ``Session(executor="auto")`` — process fan-out over the
-    shared-memory wire on multi-core machines, plain threads otherwise;
+    ``Session(executor="auto")`` — process fan-out on multi-core
+    machines, plain threads otherwise;
     either way rows match the sequential per-trial loop bit-for-bit.
     """
     config = config or LargeNetworksConfig()

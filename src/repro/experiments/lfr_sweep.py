@@ -88,7 +88,7 @@ def run_lfr_sweep(
     All mixing points fan out as one
     :meth:`repro.api.Session.detect_batch` with per-point specs
     (per-point seeds, shared solver config), so a multi-core runner
-    sweeps the curve in parallel over the shared-memory process wire;
+    sweeps the curve in parallel over the process executor;
     each point still gets a freshly seeded pipeline, so the curve is
     bit-identical to the old sequential loop.
 

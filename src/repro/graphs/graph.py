@@ -256,8 +256,8 @@ class Graph:
 
         ``canonical=True`` promises the arrays are already in the form
         :meth:`to_arrays` produces (u ≤ v, sorted, deduped, in-range)
-        and adopts them as-is without copying — the zero-copy path for
-        shared-memory views on the batch wire.  Canonicalisation is a
+        and adopts them as-is without copying — the path process
+        workers take for batch inputs.  Canonicalisation is a
         stable no-op on canonical input, so both paths build the same
         graph bit-for-bit.
         """

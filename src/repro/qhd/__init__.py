@@ -8,7 +8,6 @@ tensor-grid) simulators used to validate the dynamics on small systems.
 """
 
 from repro.qhd.engine import EvolutionEngine, EvolutionOutcome
-from repro.qhd.pool import EnginePool, attach_engine_pool, engine_key
 from repro.qhd.solver import QhdSolver
 from repro.qhd.result import QhdDetails, QhdTrace
 from repro.qhd.refinement import refine_candidates, round_positions
@@ -19,9 +18,6 @@ __all__ = [
     "QhdSolver",
     "EvolutionEngine",
     "EvolutionOutcome",
-    "EnginePool",
-    "attach_engine_pool",
-    "engine_key",
     "QhdDetails",
     "QhdTrace",
     "refine_candidates",

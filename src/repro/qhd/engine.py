@@ -234,42 +234,6 @@ class EvolutionEngine:
         return np.dtype(self._cdtype)
 
     @property
-    def model(self) -> BaseQubo | None:
-        """The QUBO currently bound (``None`` after :meth:`release`)."""
-        return self._model
-
-    def rebind(self, model: BaseQubo, energy_scale: float = 1.0) -> None:
-        """Point the engine at a new run's model and energy scale.
-
-        This is how the :class:`repro.qhd.pool.EnginePool` reuses a
-        cached engine across runs: the phase tables and workspace
-        buffers depend only on the engine's construction key (which
-        includes the variable count), while the model and its scalar
-        ``energy_scale`` are per-run state.  Every workspace buffer is
-        fully rewritten before it is read by the next
-        :meth:`evolve`/:meth:`measure` pass, so a rebound engine's runs
-        are bit-identical to a freshly constructed engine's.
-        """
-        if model.n_variables != self._dens.shape[1]:
-            raise SimulationError(
-                f"engine was built for {self._dens.shape[1]} variables, "
-                f"cannot rebind to a model with {model.n_variables}"
-            )
-        self._model = model
-        self.energy_scale = check_positive(energy_scale, "energy_scale")
-        self._psi = None
-
-    def release(self) -> None:
-        """Scrub per-run references before the engine idles in a pool.
-
-        Drops the bound model and the adopted wavefunction tensor so an
-        idle pooled engine pins only its own workspace buffers — not
-        the last run's inputs.  :meth:`rebind` re-arms the engine.
-        """
-        self._model = None
-        self._psi = None
-
-    @property
     def kinetic_phase_table(self) -> np.ndarray:
         """Precomputed ``(n_steps, grid)`` kinetic phases (read-only)."""
         view = self._ktable.view()
@@ -291,10 +255,6 @@ class EvolutionEngine:
         :meth:`measure` afterwards for the final normalised expectations
         and position draws.
         """
-        if self._model is None:
-            raise SimulationError(
-                "engine has been released; rebind() a model first"
-            )
         expected = self._dens.shape
         psi = np.ascontiguousarray(psi0, dtype=self._cdtype)
         if psi.shape != expected:

@@ -37,8 +37,7 @@ from repro.api.registry import SOLVERS
 from repro.exceptions import SimulationError, SolverError
 from repro.hamiltonian.observables import normalize
 from repro.hamiltonian.schedules import Schedule, get_schedule
-from repro.qhd.engine import check_complex_dtype
-from repro.qhd.pool import EnginePool, _lease_or_build
+from repro.qhd.engine import EvolutionEngine, check_complex_dtype
 from repro.qhd.refinement import refine_candidates, round_positions
 from repro.qhd.result import QhdDetails
 from repro.qubo.model import BaseQubo
@@ -160,33 +159,10 @@ class QhdSolver(QuboSolver):
             raise SolverError(str(err)) from None
         self.time_limit = check_time_limit(time_limit)
         self._seed = seed
-        # Runtime wiring, not configuration: an attached EnginePool lets
-        # repeated runs of the same shape reuse one engine's phase
-        # tables and workspace buffers (see repro.qhd.pool).  Not part
-        # of the config round-trip — a rebuilt solver starts unpooled.
-        self._engine_pool: EnginePool | None = None
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def bind_engine_pool(self, pool: EnginePool | None) -> "QhdSolver":
-        """Attach (or with ``None`` detach) an engine pool; returns self.
-
-        With a :class:`repro.qhd.pool.EnginePool` bound, :meth:`solve`
-        leases its evolution engine from the pool instead of
-        constructing one, amortising the whole-run precomputation
-        (phase tables, workspace buffers) across same-shape runs.
-        Pooled runs are bit-identical to unpooled ones; this is purely
-        a throughput knob, wired up by :class:`repro.api.Session`.
-        """
-        self._engine_pool = pool
-        return self
-
-    @property
-    def engine_pool(self) -> EnginePool | None:
-        """The attached :class:`~repro.qhd.pool.EnginePool`, or ``None``."""
-        return self._engine_pool
-
     def solve(self, model: BaseQubo) -> SolveResult:
         """Minimise ``model``; see :meth:`solve_detailed` for diagnostics.
 
@@ -236,12 +212,7 @@ class QhdSolver(QuboSolver):
         # tables and every workspace buffer; the stochastic mean-field
         # dynamics (sample 0 deterministic via expectations, the rest
         # driven by position measurements) live in engine._observe.
-        # With an engine pool bound the engine is leased (reusing a
-        # cached one of identical shape, rebound to this model) and
-        # returned on exit; unpooled runs construct a fresh engine
-        # exactly as before.
-        lease = _lease_or_build(
-            self._engine_pool,
+        engine = EvolutionEngine(
             model,
             self.schedule,
             n_samples=self.n_samples,
@@ -253,18 +224,17 @@ class QhdSolver(QuboSolver):
             energy_scale=energy_scale,
             dtype=self.dtype,
         )
-        with lease as engine:
-            psi = self._initial_wavepackets(
-                rng, n, engine.points, engine.spacing, engine.complex_dtype
-            )
-            budget = TimeBudget(self.time_limit)
-            outcome = engine.evolve(
-                psi, rng, budget=budget, record_trace=self.record_trace
-            )
+        psi = self._initial_wavepackets(
+            rng, n, engine.points, engine.spacing, engine.complex_dtype
+        )
+        budget = TimeBudget(self.time_limit)
+        outcome = engine.evolve(
+            psi, rng, budget=budget, record_trace=self.record_trace
+        )
 
-            # Single-pass measurement: one final density/cumulative
-            # distribution feeds the expectations and all `shots` draws.
-            mu, measured = engine.measure(rng, self.shots)
+        # Single-pass measurement: one final density/cumulative
+        # distribution feeds the expectations and all `shots` draws.
+        mu, measured = engine.measure(rng, self.shots)
         candidates = [round_positions(mu)]
         if self.shots:
             candidates.append(round_positions(measured.reshape(-1, n)))

@@ -12,7 +12,8 @@ server with the session's own executors doing the work:
   bit-identical to direct :func:`repro.api.detect` runs.
 * ``GET /healthz`` — liveness (+ drain state).
 * ``GET /stats`` — request counters, queue depth, and the full
-  :meth:`repro.api.Session.stats` (engine-pool + wire counters).
+  :meth:`repro.api.Session.stats` (run, clamp and wire-byte
+  counters, executor, BLAS threads).
 
 Robustness contract
 -------------------
@@ -31,8 +32,8 @@ still answers ``200`` — the artifact's result carries
 **Graceful drain.**  :meth:`ReproServer.request_shutdown` (wired to
 SIGTERM/SIGINT by the CLI) stops the accept loop; in-flight handlers
 finish and are joined (``block_on_close``), new requests get ``503``,
-and an owned session is closed — reaping worker processes and sweeping
-shared-memory segments — before :meth:`serve_forever` returns.
+and an owned session is closed — reaping worker processes — before
+:meth:`serve_forever` returns.
 
 Error mapping: ``404`` unknown path, ``405`` wrong method, ``411``
 missing ``Content-Length``, ``413`` oversized body, ``400`` invalid
@@ -253,7 +254,7 @@ class ReproServer:
         Request-body size cap; the ``413`` threshold.
     **session_kwargs:
         Constructor arguments for the private session
-        (``max_workers``, ``executor``, ``wire``, ...).
+        (``max_workers``, ``executor``).
 
     Examples
     --------
@@ -410,8 +411,8 @@ class ReproServer:
         The ``finally`` is the drain contract: ``server_close()`` joins
         every in-flight handler thread (``block_on_close``) before an
         owned session is closed, so no request is answered by a
-        half-torn-down session and no worker process or shared-memory
-        segment outlives the serve loop.
+        half-torn-down session and no worker process outlives the serve
+        loop.
         """
         self._serving = True
         try:

@@ -18,14 +18,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Exemption-free config: fixture paths live under ``tests/`` which the
 #: shipped defaults exempt for REP003, so tests zero the path lists out.
-#: REP007's exempt list instead names the *good* fixture — it plays the
-#: blessed-wire-module role, demonstrating in-module creation hygiene.
 STRICT = LintConfig(
     rep001_exempt=(),
     rep003_allowed=(),
     rep005_allow_pickle=(),
     rep006_exempt=(),
-    rep007_exempt=("rep007_good.py",),
 )
 
 
@@ -161,6 +158,22 @@ class TestRep005:
         # __init__ writes _hits/_idle without the lock — allowed.
         assert engine.lint_source(src) == []
 
+    def test_tuple_unpacking_writes_are_checked(self):
+        engine = LintEngine(rules=["REP005"], config=STRICT)
+        src = (
+            "class Session:\n"
+            "    _locked_fields = ('_pool',)\n"
+            "    def close(self):\n"
+            "        pool, self._pool = self._pool, None\n"
+            "    def close_guarded(self):\n"
+            "        with self._lock:\n"
+            "            pool, self._pool = self._pool, None\n"
+        )
+        findings = engine.lint_source(src)
+        assert len(findings) == 1
+        assert "'self._pool'" in findings[0].message
+        assert findings[0].line == 4
+
 
 class TestRep006:
     def test_flags_both_loop_kinds(self):
@@ -175,61 +188,3 @@ class TestRep006:
         # The delta engine's own cadence logic is the mechanism — exempt.
         assert engine.lint_source(src, path="repro/qubo/delta.py") == []
         assert engine.lint_source(src, path="repro/api/stream.py")
-
-
-class TestRep007:
-    def test_flags_stray_use_and_missing_unlink(self):
-        findings = lint_fixture("REP007", "bad")
-        text = "\n".join(f.message for f in findings)
-        # The import, the create call as a stray use... the bad fixture
-        # is outside the blessed module, so both findings fire plus the
-        # import line.
-        assert "outside the blessed wire module" in text
-        assert any(
-            "outside the blessed wire module" in f.message
-            for f in findings
-        )
-
-    def test_blessed_module_still_needs_finally_unlink(self):
-        engine = LintEngine(
-            rules=["REP007"],
-            config=LintConfig(rep007_exempt=("leaky.py",)),
-        )
-        src = (
-            "from multiprocessing import shared_memory\n"
-            "def make(size):\n"
-            "    seg = shared_memory.SharedMemory(create=True, size=size)\n"
-            "    return seg\n"
-        )
-        findings = engine.lint_source(src, path="repro/api/leaky.py")
-        assert len(findings) == 1
-        assert "unlink() reachable from a finally" in findings[0].message
-
-    def test_blessed_module_with_finally_is_clean(self):
-        engine = LintEngine(
-            rules=["REP007"],
-            config=LintConfig(rep007_exempt=("tidy.py",)),
-        )
-        src = (
-            "from multiprocessing import shared_memory\n"
-            "def make(size):\n"
-            "    seg = shared_memory.SharedMemory(create=True, size=size)\n"
-            "    try:\n"
-            "        return seg.name\n"
-            "    finally:\n"
-            "        seg.close()\n"
-            "        seg.unlink()\n"
-        )
-        assert engine.lint_source(src, path="repro/api/tidy.py") == []
-
-    def test_attach_only_use_outside_wire_module_is_flagged(self):
-        engine = LintEngine(rules=["REP007"], config=LintConfig())
-        src = (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def attach(name):\n"
-            "    return SharedMemory(name=name)\n"
-        )
-        findings = engine.lint_source(src, path="repro/solvers/x.py")
-        assert len(findings) == 2  # the import and the call
-        # The repository's own wire module is exempt by default.
-        assert engine.lint_source(src, path="repro/api/shm.py") == []

@@ -1,14 +1,14 @@
 """Executor-equivalence contracts of the session batch runtime.
 
 The batch contract is backend-independent: a batch run through any
-executor (inline sequential loop, persistent thread pool, process pool
-with per-worker engine pools) must reproduce the corresponding sequence
-of seeded single runs **field by field** — labels, energies, spec echo,
-seeds, indices — for any worker count and chunking.  These tests pin
-that equivalence with the golden harness's structural differ, plus the
+executor (inline sequential loop, persistent thread pool, persistent
+process pool) must reproduce the corresponding sequence of seeded
+single runs **field by field** — labels, energies, spec echo, seeds,
+indices — for any worker count and chunking.  These tests pin that
+equivalence with the golden harness's structural differ, plus the
 process-mode plumbing around it: clamp-and-warn width resolution,
-worker counter merging, executor config round-trips and the atexit
-default-session hook.
+mid-batch worker failures, shipped-byte accounting, executor config
+round-trips and the atexit default-session hook.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import pytest
 
 import repro.api as api
 from repro.api import runner, session as session_module
+from repro.api.config import ConfigError
 from repro.api.session import Session, SessionError, default_session
 from repro.api.threads import available_cores
 from repro.graphs.generators import ring_of_cliques
@@ -71,9 +72,13 @@ def _assert_artifacts_identical(expected, got):
         assert not diffs, "\n".join(diffs)
 
 
+def _shm_entries() -> set:
+    """The ``/dev/shm`` entry set (empty where the platform has none)."""
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
 def _graphs(count=5):
-    # Two engine shapes in one batch so process workers exercise their
-    # pools with rebinds, not just one cached engine.
+    # Two graph sizes in one batch so chunks mix QUBO shapes.
     return [ring_of_cliques(3, 4 + (i % 2))[0] for i in range(count)]
 
 
@@ -130,30 +135,18 @@ class TestProcessRuntime:
             narrow = session.detect_batch(graphs, QHD_SPEC, max_workers=2)
         _assert_artifacts_identical(wide, narrow)
 
-    def test_worker_pool_counters_merge_back(self):
-        graphs = [ring_of_cliques(3, 4)[0] for _ in range(6)]
-        with Session(max_workers=2, executor="process") as session:
-            session.detect_batch(graphs, QHD_SPEC)
-            pool_stats = session.stats()["engine_pool"]
-        # Each worker misses once per engine shape and hits afterwards;
-        # the parent pool never built an engine itself, so nonzero
-        # counters prove the per-chunk deltas were merged back.
-        assert pool_stats["misses"] >= 1
-        assert pool_stats["hits"] + pool_stats["misses"] == 6
-        assert pool_stats["setup_seconds"] > 0.0
-
-    def test_pooling_disabled_reaches_workers(self):
-        graphs = _graphs(3)
-        expected = [
-            runner._detect_one(g, runner._spec_of(QHD_SPEC), i)
-            for i, g in enumerate(graphs)
-        ]
-        with Session(
-            max_workers=2, executor="process", pooling=False
-        ) as session:
-            got = session.detect_batch(graphs, QHD_SPEC)
-            assert session.stats()["engine_pool"] is None
-        _assert_artifacts_identical(expected, got)
+    def test_worker_exception_mid_batch(self):
+        """A failing item raises; the session and /dev/shm stay clean."""
+        graphs = [ring_of_cliques(3, 4)[0] for _ in range(5)]
+        specs = [dict(QHD_SPEC) for _ in range(5)]
+        specs[2] = dict(QHD_SPEC, solver="no-such-solver")
+        before = _shm_entries()
+        with Session(executor="process", max_workers=2) as session:
+            with pytest.raises(Exception, match="no-such-solver"):
+                session.detect_batch(graphs, specs)
+            follow_up = session.detect_batch(graphs[:2], QHD_SPEC)
+            assert len(follow_up) == 2
+        assert _shm_entries() == before
 
     def test_close_shuts_down_worker_processes(self):
         graphs = _graphs(3)
@@ -167,97 +160,33 @@ class TestProcessRuntime:
             executor.submit(os.getpid)
 
 
-@pytest.mark.parametrize("wire", ["pickle", "shm", "auto"])
-@pytest.mark.parametrize("max_workers", [2, 3])
-class TestWireModeEquivalence:
-    """Both wires reproduce sequential fresh runs at any chunking."""
-
-    def test_detect_matches_sequential_fresh_runs(self, wire, max_workers):
-        graphs = _graphs()
-        expected = [
-            runner._detect_one(g, runner._spec_of(QHD_SPEC), i)
-            for i, g in enumerate(graphs)
-        ]
-        with Session(
-            max_workers=3, executor="process", wire=wire
-        ) as session:
-            got = session.detect_batch(
-                graphs, QHD_SPEC, max_workers=max_workers
-            )
-        _assert_artifacts_identical(expected, got)
-
-    def test_solve_models_both_backends(self, wire, max_workers):
-        graph, _ = ring_of_cliques(3, 5)
-        sparse = build_community_qubo(
-            graph, n_communities=3, backend="sparse"
-        ).model
-        models = [random_qubo(10, 0.4, seed=i) for i in range(3)]
-        models += [sparse, sparse]  # repeated input exercises dedup
-        expected = [
-            runner._solve_one(m, runner._spec_of(SOLVE_SPEC), i)
-            for i, m in enumerate(models)
-        ]
-        with Session(
-            max_workers=3, executor="process", wire=wire
-        ) as session:
-            got = session.solve_batch(
-                models, SOLVE_SPEC, max_workers=max_workers
-            )
-        _assert_artifacts_identical(expected, got)
-
-
-class TestWireConfig:
-    def test_invalid_wire_rejected(self):
-        with pytest.raises(SessionError, match="wire"):
-            Session(wire="carrier-pigeon")
-
-    @pytest.mark.parametrize("wire", ["pickle", "shm", "auto"])
-    def test_wire_round_trips(self, wire):
-        config = Session(max_workers=2, wire=wire).to_config()
-        assert config["wire"] == wire
-        assert Session.from_config(config).to_config() == config
-
-    def test_auto_resolves_to_shm(self):
-        assert Session(wire="auto").wire_mode == "shm"
-        assert Session(wire="pickle").wire_mode == "pickle"
-
-    def test_stats_reports_wire_counters(self):
-        graphs = _graphs(4)
-        graphs.append(graphs[0])  # identity-repeated input
-        with Session(
-            max_workers=2, executor="process", wire="shm"
-        ) as session:
-            session.detect_batch(graphs, QHD_SPEC)
-            wire = session.stats()["wire"]
-        assert wire["mode"] == "shm"
-        # Four small graphs bump-allocate into a single slab segment;
-        # the identity-repeated one reuses its bytes, not recopies.
-        assert wire["segments_created"] == 1
-        assert wire["bundles_encoded"] == 4
-        assert wire["bundles_reused"] == 1
-        assert wire["bytes_shipped"] == 0
-        assert wire["bytes_referenced"] > 0
-
-    def test_pickle_wire_ships_bytes(self):
+class TestShippedBytes:
+    def test_process_batch_counts_array_bytes(self):
         graphs = _graphs(3)
-        with Session(
-            max_workers=2, executor="process", wire="pickle"
-        ) as session:
+        models = [random_qubo(10, 0.4, seed=i) for i in range(2)]
+        with Session(max_workers=2, executor="process") as session:
             session.detect_batch(graphs, QHD_SPEC)
+            session.solve_batch(models, SOLVE_SPEC)
             wire = session.stats()["wire"]
-        assert wire["segments_created"] == 0
-        assert wire["bytes_shipped"] > 0
-        assert wire["bytes_referenced"] == 0
+        graph_bytes = sum(
+            u.nbytes + v.nbytes + w.nbytes
+            for _, u, v, w in (g.to_arrays() for g in graphs)
+        )
+        model_bytes = sum(
+            value.nbytes
+            for m in models
+            for value in m.to_arrays().values()
+            if isinstance(value, np.ndarray)
+        )
+        assert wire == {
+            "mode": "pickle",
+            "bytes_shipped": graph_bytes + model_bytes,
+        }
 
-    def test_thread_backend_bypasses_wire(self):
-        graphs = _graphs(3)
-        with Session(
-            max_workers=2, executor="thread", wire="shm"
-        ) as session:
-            session.detect_batch(graphs, QHD_SPEC)
-            wire = session.stats()["wire"]
-        assert wire["segments_created"] == 0
-        assert wire["bytes_shipped"] == 0
+    def test_thread_batch_ships_nothing(self):
+        with Session(max_workers=2, executor="thread") as session:
+            session.detect_batch(_graphs(3), QHD_SPEC)
+            assert session.stats()["wire"]["bytes_shipped"] == 0
 
 
 class TestPerItemSpecs:
@@ -306,6 +235,18 @@ class TestExecutorConfig:
     def test_invalid_executor_rejected(self):
         with pytest.raises(SessionError, match="executor"):
             Session(executor="fibers")
+
+    def test_only_width_and_executor_are_options(self):
+        assert Session.config_fields() == ("max_workers", "executor")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("pooling", False), ("max_idle_engines", 4), ("wire", "shm")],
+    )
+    def test_removed_options_rejected(self, key, value):
+        # Saved configs that still carry a deleted option fail loudly.
+        with pytest.raises(ConfigError, match=key):
+            Session.from_config({key: value})
 
     @pytest.mark.parametrize("executor", ["thread", "process", "auto"])
     def test_executor_round_trips(self, executor):
@@ -370,6 +311,8 @@ class TestGraphWireFormat:
         tag, payload = runner._encode_input({"not": "a model"})
         assert tag == "object"
         assert runner._decode_input(tag, payload) == {"not": "a model"}
+        # Only array bundles count as shipped wire bytes.
+        assert runner._payload_nbytes(tag, payload) == 0
 
 
 @pytest.mark.parametrize("executor", ["thread", "process", "auto"])
@@ -391,12 +334,6 @@ class TestEmptyBatch:
             assert session._thread_executor is None
             assert session._process_executor is None
             assert session.stats()["runs"] == 0
-
-    def test_engine_pool_untouched(self, executor):
-        with Session(max_workers=2, executor=executor) as session:
-            session.detect_batch([], QHD_SPEC)
-            stats = session.stats()["engine_pool"]
-            assert stats["hits"] == 0 and stats["misses"] == 0
 
 
 def test_module_level_empty_batches():

@@ -25,7 +25,7 @@ QHD_SPEC = {
 
 
 def _fresh_artifact(graph, spec):
-    """Ground truth: one unpooled, freshly built pipeline per run."""
+    """Ground truth: one freshly built pipeline, outside any session."""
     return runner._detect_one(graph, runner._spec_of(spec), 0)
 
 
@@ -56,20 +56,14 @@ class TestSessionLifecycle:
             session.detect(graph, QHD_SPEC)
             stats = session.stats()
         assert stats["runs"] == 1
-        assert stats["engine_pool"]["misses"] >= 1
+        assert set(stats) == {
+            "runs", "clamped_calls", "max_workers", "executor",
+            "blas_threads", "wire",
+        }
+        # Single runs never serialise their input.
+        assert stats["wire"] == {"mode": "pickle", "bytes_shipped": 0}
         # The process's count, read back through the shim.
         assert stats["blas_threads"] == threads.blas_threads()
-
-    def test_pooling_can_be_disabled(self, clique_ring):
-        graph, _ = clique_ring
-        with Session(pooling=False) as session:
-            artifact = session.detect(graph, QHD_SPEC)
-            assert session.engine_pool is None
-            assert session.stats()["engine_pool"] is None
-        fresh = _fresh_artifact(graph, QHD_SPEC)
-        np.testing.assert_array_equal(
-            artifact.result.labels, fresh.result.labels
-        )
 
     def test_default_session_is_shared_and_replaced_after_close(self):
         first = default_session()
@@ -80,14 +74,12 @@ class TestSessionLifecycle:
 
 
 class TestSessionDeterminism:
-    def test_repeated_detect_identical_and_pooled(self, clique_ring):
+    def test_repeated_detect_identical(self, clique_ring):
         graph, _ = clique_ring
         fresh = _fresh_artifact(graph, QHD_SPEC)
         with Session() as session:
             first = session.detect(graph, QHD_SPEC)
             second = session.detect(graph, QHD_SPEC)
-            stats = session.stats()
-        assert stats["engine_pool"]["hits"] >= 1
         for artifact in (first, second):
             np.testing.assert_array_equal(
                 artifact.result.labels, fresh.result.labels
@@ -142,8 +134,8 @@ class TestSessionConcurrency:
 
     def _jobs(self):
         jobs = []
-        # Three distinct engine shapes (grid/steps/variable-count all
-        # vary), several same-shape repeats to force lease contention.
+        # Mixed run shapes (grid/steps/variable-count all vary) with
+        # same-shape repeats, all in flight on one session at once.
         for index in range(4):
             graph, _ = ring_of_cliques(3, 4 + (index % 2))
             jobs.append((graph, QHD_SPEC))
@@ -162,7 +154,7 @@ class TestSessionConcurrency:
     def test_hammered_session_matches_sequential_fresh_runs(self):
         jobs = self._jobs()
         expected = [_fresh_artifact(graph, spec) for graph, spec in jobs]
-        with Session(max_idle_engines=8) as session:
+        with Session() as session:
             barrier = threading.Barrier(8)
 
             def run(job):
@@ -188,19 +180,17 @@ class TestSessionConcurrency:
                 want.result.solve_result.x, have.result.solve_result.x
             )
 
-    def test_hammered_batches_reuse_engines_without_aliasing(self):
+    def test_hammered_batches_match_fresh_runs(self):
         graphs = [ring_of_cliques(3, 4)[0] for _ in range(6)]
         expected = [_fresh_artifact(g, QHD_SPEC) for g in graphs]
         with Session(max_workers=4) as session:
-            for _ in range(3):  # repeated batches reuse pooled engines
+            for _ in range(3):  # repeated batches on one warm executor
                 got = session.detect_batch(graphs, QHD_SPEC)
                 for want, have in zip(expected, got):
                     np.testing.assert_array_equal(
                         want.result.labels, have.result.labels
                     )
             stats = session.stats()
-        pool_stats = stats["engine_pool"]
-        assert pool_stats["hits"] >= pool_stats["misses"]
         assert stats["runs"] == 18
 
 

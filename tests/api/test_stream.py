@@ -269,7 +269,7 @@ class TestAbandonedStreamTeardown:
             next(stream)
             stream.close()
             # The session survives its stream being abandoned: a
-            # follow-up batch runs normally on the same engine pool.
+            # follow-up batch runs normally on the same executor.
             follow_up = session.detect_batch([_graph()] * 2, SPEC)
             assert len(follow_up) == 2
         if has_dev_shm:

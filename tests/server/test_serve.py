@@ -109,7 +109,7 @@ class TestEndpoints:
             assert stats["server"]["max_queue"] == 2
             assert stats["server"]["queue_depth"] == 0
             assert stats["session"]["runs"] == 0
-            assert "engine_pool" in stats["session"]
+            assert stats["session"]["wire"]["mode"] == "pickle"
             assert stats["session"]["blas_threads"] == threads.blas_threads()
 
     def test_detect_byte_identical_to_direct_run(self):
@@ -308,7 +308,7 @@ class TestBackpressure:
 
 class TestSigtermDrain:
     def test_sigterm_exits_cleanly_with_no_leaks(self):
-        """``repro serve`` + SIGTERM: rc 0, no workers, no shm."""
+        """``repro serve`` + SIGTERM: rc 0, no workers, /dev/shm as before."""
         graph, _ = ring_of_cliques(3, 4)
         body = {"graph": _graph_payload(graph), "spec": QHD_SPEC}
         before = _shm_entries()
@@ -329,8 +329,6 @@ class TestSigtermDrain:
                 "2",
                 "--executor",
                 "process",
-                "--wire",
-                "shm",
                 "--max-workers",
                 "2",
             ],

@@ -14,7 +14,6 @@ class TestExports:
         "module_name",
         [
             "repro",
-            "repro.core",
             "repro.graphs",
             "repro.qubo",
             "repro.hamiltonian",
@@ -28,7 +27,7 @@ class TestExports:
     )
     def test_all_names_resolve(self, module_name):
         module = importlib.import_module(module_name)
-        assert hasattr(module, "__all__") or module_name == "repro.core"
+        assert hasattr(module, "__all__")
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.{name} missing"
 
@@ -78,7 +77,6 @@ DOCTEST_MODULES = [
     "repro.qubo.sparse",
     "repro.qubo.delta",
     "repro.qhd.engine",
-    "repro.qhd.pool",
     "repro.solvers.base",
     "repro.api.config",
     "repro.api.registry",
