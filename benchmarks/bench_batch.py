@@ -10,7 +10,7 @@ batch of LFR graphs through three session configurations:
   specs, so the speedup here measures how much of the run releases the
   GIL),
 * ``processes_N`` — the process pool (chunked work-stealing fan-out,
-  array bundles pickled into every task payload).
+  each task carrying its pickled graphs).
 
 All rows must produce bit-identical seeded partitions (asserted), so
 the bench doubles as an executor equivalence check at benchmark scale.
@@ -22,8 +22,7 @@ Besides the usual text report it writes
      "cpu_count": ..., "spec": {...},
      "results": [{"label": "sequential", "seconds": ...,
                   "blas_threads": ... | None,
-                  "setup_seconds": ..., "run_seconds": ...,
-                  "wire": {...} | None}, ...],
+                  "setup_seconds": ..., "run_seconds": ...}, ...],
      "thread_speedup": ..., "process_speedup": ...,
      "process_over_thread": ...}
 
@@ -121,7 +120,6 @@ def run_batch(scale: float, n_communities: int = 3) -> dict:
                 "seconds": seconds,
                 "setup_seconds": setup_seconds,
                 "run_seconds": run_seconds,
-                "wire": stats["wire"] if executor == "process" else None,
             }
         )
         labels = [a.result.labels for a in artifacts]
@@ -177,12 +175,6 @@ def report_text(report: dict) -> str:
             f"{row['setup_seconds'] * 1e3:>8.2f} ms "
             f"{row['run_seconds'] * 1e3:>10.2f} ms"
         )
-        wire = row.get("wire")
-        if wire is not None:
-            lines.append(
-                f"{'':16} wire {wire['mode']}: "
-                f"{wire['bytes_shipped']} B shipped"
-            )
     for key, title in (
         ("thread_speedup", "threads vs sequential"),
         ("process_speedup", "processes vs sequential"),

@@ -1,14 +1,11 @@
-"""REP005 — wire-format and lock safety (PR 5–6 contracts).
+"""REP005 — serialisation and lock safety.
 
-Two invariants from the process-sharded batch runtime:
+Two invariants of the library code:
 
-* **No pickled object graphs on the executor path.**  Graphs and QUBO
-  models cross process boundaries as raw numpy buffers
-  (``to_arrays()``/``from_arrays()``), never as pickled objects — the
-  wire format is the contract that keeps worker handoff cheap and
-  version-stable.  Importing ``pickle`` (or friends) in library code is
-  flagged outright; serialisation goes through the array wire format or
-  the JSON ``to_dict`` forms.
+* **No hand-rolled pickling.**  Importing ``pickle`` (or friends) in
+  library code is flagged outright.  What the library persists or
+  serves goes through the JSON ``to_dict`` forms; the only pickling is
+  the process executor's own, of the task arguments it ships.
 
 * **Lock-guarded fields.**  A class declaring
   ``_locked_fields = ("_runs", ...)`` promises that every write to
@@ -41,8 +38,8 @@ class WireLockSafety(Rule):
     """Flag pickle imports and unguarded writes to locked fields."""
 
     summary = (
-        "wire/lock safety: no pickle of object graphs (use to_arrays/"
-        "to_dict wire forms); _locked_fields writes happen under "
+        "serialisation/lock safety: no pickle imports (use the JSON "
+        "to_dict forms); _locked_fields writes happen under "
         "'with self._lock'"
     )
 
@@ -71,9 +68,9 @@ class WireLockSafety(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"import of {module!r}: the executor path ships raw "
-                    f"array buffers (to_arrays/from_arrays) or JSON "
-                    f"to_dict forms, never pickled object graphs",
+                    f"import of {module!r}: library code serialises "
+                    f"through the JSON to_dict forms, never by "
+                    f"pickling by hand",
                 )
 
     # ------------------------------------------------------------------

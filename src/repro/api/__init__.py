@@ -70,8 +70,6 @@ _SESSION_EXPORTS = (
 
 _STREAM_EXPORTS = ("detect_stream",)
 
-_AIO_EXPORTS = ("AsyncSession",)
-
 __all__ = [
     "Configurable",
     "ConfigError",
@@ -87,7 +85,6 @@ __all__ = [
     *_RUNNER_EXPORTS,
     *_SESSION_EXPORTS,
     *_STREAM_EXPORTS,
-    *_AIO_EXPORTS,
 ]
 
 
@@ -104,10 +101,6 @@ def __getattr__(name: str) -> Any:
         from repro.api import stream
 
         return getattr(stream, name)
-    if name in _AIO_EXPORTS:
-        from repro.api import aio
-
-        return getattr(aio, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -7,23 +7,22 @@ This module implements the verbs of the ``repro.api`` facade:
 * :func:`detect` / :func:`solve` — execute one :class:`RunSpec` on one
   graph / QUBO model and return a :class:`RunArtifact`,
 * :func:`detect_batch` / :func:`solve_batch` — fan one spec out over
-  many graphs / models with a thread pool, preserving input order and
-  per-input determinism (each input gets a freshly built, identically-
-  seeded pipeline, so a batch run reproduces the corresponding sequence
-  of single runs exactly).
+  many graphs / models, preserving input order and per-input
+  determinism (each input gets a freshly built, identically-seeded
+  pipeline, so a batch run reproduces the corresponding sequence of
+  single runs exactly).
 
 The module-level verbs delegate to the process-wide
 :class:`repro.api.Session` (:func:`repro.api.default_session`), which
 owns the persistent worker pools; the private ``_detect_one`` /
-``_solve_one`` helpers here are the session's per-run execution core.
+``_solve_one`` helpers here are the session's per-run execution core,
+and ``_run_chunk`` is the task its process pool runs.
 """
 
 from __future__ import annotations
 
 import warnings
 from typing import TYPE_CHECKING, Any, Sequence
-
-import numpy as np
 
 if TYPE_CHECKING:
     from repro.api.session import Session
@@ -220,56 +219,8 @@ def _solve_one(
 
 
 # ----------------------------------------------------------------------
-# Process-pool worker plumbing (the wire format of executor="process")
+# Process-pool worker plumbing (executor="process")
 # ----------------------------------------------------------------------
-def _encode_input(item: Any) -> tuple[str, Any]:
-    """Lower one batch input to its ``(tag, payload)`` wire form.
-
-    Graphs ship as :meth:`repro.graphs.Graph.to_arrays` tuples and QUBO
-    models as :meth:`to_arrays` bundles — plain numpy buffers, never
-    pickled object graphs, so the per-task handoff cost is the raw
-    array bytes.  Anything else (e.g. a custom :class:`BaseQubo`
-    subclass without ``to_arrays``) falls back to ordinary pickling.
-    """
-    from repro.graphs.graph import Graph
-
-    if isinstance(item, Graph):
-        return ("graph", item.to_arrays())
-    to_arrays = getattr(item, "to_arrays", None)
-    if callable(to_arrays):
-        return ("qubo", to_arrays())
-    return ("object", item)
-
-
-def _payload_nbytes(tag: str, payload: Any) -> int:
-    """Array bytes one encoded input ships (0 for ``object`` payloads)."""
-    if tag == "graph":
-        arrays = payload[1:]
-    elif tag == "qubo":
-        arrays = payload.values()
-    else:
-        return 0
-    return sum(int(a.nbytes) for a in arrays if isinstance(a, np.ndarray))
-
-
-def _decode_input(tag: str, payload: Any) -> Any:
-    """Worker-side inverse of :func:`_encode_input` (bit-exact).
-
-    Array payloads are trusted as canonical — they are
-    :meth:`to_arrays` output — so graph reconstruction adopts them
-    without a canonicalisation pass.
-    """
-    if tag == "graph":
-        from repro.graphs.graph import Graph
-
-        return Graph.from_arrays(*payload, canonical=True)
-    if tag == "qubo":
-        from repro.qubo import model_from_arrays
-
-        return model_from_arrays(payload)
-    return payload
-
-
 def _worker_initializer(blas_threads: int) -> None:
     """Process-pool initializer: apply the session's BLAS budget.
 
@@ -286,16 +237,17 @@ def _worker_initializer(blas_threads: int) -> None:
 def _run_chunk(
     kind: str,
     spec_payload: dict[str, Any] | list[dict[str, Any]],
-    chunk: list[tuple[int, tuple[str, Any]]],
+    chunk: list[tuple[int, Any]],
 ) -> tuple[list[tuple[int, "RunArtifact"]], None]:
-    """Process-pool task: run one chunk of encoded inputs sequentially.
+    """Process-pool task: run one chunk of inputs sequentially.
 
-    ``chunk`` is a list of ``(index, (tag, payload))`` pairs carrying
-    each input's position in the original batch, so the parent can
-    reassemble results in order regardless of which worker ran which
-    chunk.  ``spec_payload`` is either one spec dict shared by every
-    entry or a list of spec dicts aligned with the chunk (per-item
-    specs).  Returns ``(indexed artifacts, None)``.
+    ``chunk`` is a list of ``(index, item)`` pairs — graphs or QUBO
+    models, pickled by the executor — carrying each input's position in
+    the original batch, so the parent can reassemble results in order
+    regardless of which worker ran which chunk.  ``spec_payload`` is
+    either one spec dict shared by every entry or a list of spec dicts
+    aligned with the chunk (per-item specs).  Returns
+    ``(indexed artifacts, None)``.
     """
     if isinstance(spec_payload, list):
         specs = [RunSpec.from_dict(entry) for entry in spec_payload]
@@ -304,8 +256,8 @@ def _run_chunk(
         specs = [shared] * len(chunk)
     run_one = _detect_one if kind == "detect" else _solve_one
     results = [
-        (index, run_one(_decode_input(tag, payload), spec, index))
-        for (index, (tag, payload)), spec in zip(chunk, specs)
+        (index, run_one(item, spec, index))
+        for (index, item), spec in zip(chunk, specs)
     ]
     return results, None  # still a pair: trace wrappers unpack two values
 

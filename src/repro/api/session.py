@@ -4,26 +4,28 @@ A :class:`Session` is the service-shaped counterpart of the one-shot
 :func:`repro.api.detect` / :func:`repro.api.solve` verbs.  It owns the
 reusable runtime state:
 
-* a persistent batch executor — ``executor="thread"`` (the default)
-  fans batches out over one long-lived
-  :class:`~concurrent.futures.ThreadPoolExecutor`;
-  ``executor="process"`` shards them over a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor`, so CPU-bound
-  batches scale with cores instead of contending for one GIL.
+* one persistent :class:`~concurrent.futures.ThreadPoolExecutor` of
+  ``max_workers`` threads — on the default ``executor="thread"``
+  backend it runs every batch fan-out and every :meth:`Session.submit`
+  job, so at most ``max_workers`` runs execute at once;
+* on ``executor="process"`` a persistent
+  :class:`~concurrent.futures.ProcessPoolExecutor` as well, so CPU-bound
+  work scales with cores instead of contending for one GIL: batches go
+  straight to it, and the thread pool only forwards submitted runs.
   ``executor="auto"`` picks processes on multi-core machines;
-* the process's BLAS thread budget — when the session first runs work
-  concurrently it sets every loaded OpenBLAS to
+* the process's BLAS thread budget — when the session first builds a
+  pool that runs work in this process it sets every loaded OpenBLAS to
   ``max(1, cores // max_workers)`` threads (:mod:`repro.api.threads`),
   and process workers apply the same count, so executor width × BLAS
   threads never exceeds the cores.  Single runs leave the count alone.
 
-Process-mode handoff is array-native: graphs ship as
-:meth:`repro.graphs.Graph.to_arrays` tuples and QUBO models as
-``to_arrays()`` bundles inside the task payload (see
-:mod:`repro.api.runner`), never pickled object graphs.  Batches are
-sharded into ``~4 × workers`` contiguous chunks pulled from the
-executor's shared queue, so a straggling chunk cannot serialise the
-tail; results are reassembled in input order.
+Process tasks carry the graphs and QUBO models themselves, pickled by
+the executor.  Batches are sharded into ``~4 × workers`` contiguous
+chunks pulled from the executor's shared queue, so a straggling chunk
+cannot serialise the tail; results are reassembled in input order.
+A worker that dies (OOM kill, signal) breaks its pool: the call that
+sees it raises :class:`~concurrent.futures.process.BrokenProcessPool`,
+and the next call builds a fresh pool.
 
 Determinism is unchanged by any of this: every run gets its own
 freshly built, identically-seeded pipeline, so **batch ≡ sequence of
@@ -63,6 +65,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from concurrent.futures.process import BrokenProcessPool
 from types import TracebackType
 from typing import Any, Callable, Sequence
 
@@ -91,8 +94,8 @@ def _mp_context() -> multiprocessing.context.BaseContext | None:
     Fork keeps worker start-up cheap and inherits the already-imported
     library; platforms without it (Windows, macOS spawn-default Pythons
     still expose fork=no) fall back to the platform default — every
-    worker entry point is a module-level function with array payloads,
-    so spawn works too, just with a slower first batch.
+    worker entry point is a module-level function with picklable
+    arguments, so spawn works too, just with a slower first batch.
     """
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
@@ -114,13 +117,12 @@ class Session(Configurable):
         session); narrower requests are honoured exactly.  It is also
         the session's only thread setting: see "Thread budget" below.
     executor:
-        ``"thread"`` (default) fans batches out over a persistent
-        thread pool; ``"process"`` shards them over a persistent
-        process pool with array-native input handoff; ``"auto"``
-        resolves to ``"process"`` on multi-core machines and
-        ``"thread"`` otherwise.  Single :meth:`detect` /
-        :meth:`solve` calls always run in-process — the knob only
-        shapes batch fan-out, never results.
+        ``"thread"`` (default) runs batches and :meth:`submit` jobs on
+        the session's persistent thread pool; ``"process"`` runs them
+        on a persistent process pool; ``"auto"`` resolves to
+        ``"process"`` on multi-core machines and ``"thread"``
+        otherwise.  Single :meth:`detect` / :meth:`solve` calls always
+        run in-process — the knob only shapes fan-out, never results.
 
     Like every other knob in the library, the constructor parameters
     round-trip through :meth:`Configurable.to_config` /
@@ -129,8 +131,8 @@ class Session(Configurable):
 
     Thread budget: runs that execute concurrently share the cores.
     When the session builds a pool that runs work in this process —
-    the batch thread pool, or on the thread backend the :meth:`submit`
-    pool — it sets every loaded OpenBLAS to
+    its thread pool, on the thread backend — it sets every loaded
+    OpenBLAS to
     ``max(1, cores // max_workers)`` threads, and each process worker
     applies the same count when it starts, so executor width × BLAS
     threads never exceeds the cores.  The count never rises above what
@@ -169,8 +171,6 @@ class Session(Configurable):
         "_closed",
         "_thread_executor",
         "_process_executor",
-        "_dispatch_executor",
-        "_bytes_shipped",
     )
 
     def __init__(
@@ -200,13 +200,11 @@ class Session(Configurable):
         self._blas_budget = max(1, cores // self._max_workers)
         self._thread_executor: ThreadPoolExecutor | None = None
         self._process_executor: ProcessPoolExecutor | None = None
-        self._dispatch_executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         self._closed = False
         self._runs = 0
         self._clamped_calls = 0
         self._clamp_warned: set[int] = set()
-        self._bytes_shipped = 0
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -229,23 +227,21 @@ class Session(Configurable):
     def stats(self) -> dict[str, Any]:
         """Run counters and the resolved backend (JSON-ready).
 
-        ``wire.bytes_shipped`` counts the input array bytes pickled
-        into process-worker task payloads (the thread backend never
-        serialises inputs).  ``blas_threads`` is the process's OpenBLAS
-        thread count read back from the library (``None`` without
-        OpenBLAS).
+        ``blas_threads`` is the process's OpenBLAS thread count read
+        back from the library (``None`` without OpenBLAS).  ``wire``
+        names how process tasks carry their inputs: the executor
+        pickles them.
         """
         with self._lock:
             runs = self._runs
             clamped = self._clamped_calls
-            shipped = self._bytes_shipped
         return {
             "runs": runs,
             "clamped_calls": clamped,
             "max_workers": self._max_workers,
             "executor": self._backend,
             "blas_threads": blas_threads(),
-            "wire": {"mode": "pickle", "bytes_shipped": shipped},
+            "wire": {"mode": "pickle"},
         }
 
     def close(self) -> None:
@@ -257,19 +253,15 @@ class Session(Configurable):
             if self._closed:
                 return
             self._closed = True
-            dispatch_executor, self._dispatch_executor = (
-                self._dispatch_executor, None,
-            )
             thread_executor, self._thread_executor = (
                 self._thread_executor, None,
             )
             process_executor, self._process_executor = (
                 self._process_executor, None,
             )
-        # The dispatch pool first: in-flight submitted jobs may still be
-        # waiting on the batch executors, so those must outlive it.
-        if dispatch_executor is not None:
-            dispatch_executor.shutdown(wait=True)
+        # The thread pool first: on the process backend its threads may
+        # still be forwarding submitted runs to the process pool, so
+        # that must outlive them.
         if thread_executor is not None:
             thread_executor.shutdown(wait=True)
         if process_executor is not None:
@@ -319,15 +311,14 @@ class Session(Configurable):
         """Submit one run and return its :class:`~concurrent.futures.Future`.
 
         The awaitable counterpart of :meth:`detect` / :meth:`solve` and
-        the submission surface behind :class:`repro.api.AsyncSession`
-        and ``repro serve``: the call returns immediately with a
-        ``Future[RunArtifact]`` while the run executes on the session's
-        dispatch pool (a persistent thread pool sized like the batch
-        executor, so at most ``max_workers`` submitted runs execute
-        concurrently; further submissions queue).  On the process
-        backend the dispatch thread forwards the run to the persistent
-        process pool as a single-item chunk over the array wire, so
-        CPU-bound submissions scale with cores exactly like batches.
+        the submission surface behind ``repro serve``: the call returns
+        immediately with a ``Future[RunArtifact]`` while the run
+        executes on the session's thread pool, which batches share, so
+        at most ``max_workers`` runs execute at once; further work
+        queues.  On the process backend the pool thread only forwards
+        the run to the process pool as a single-item chunk, so CPU-bound
+        submissions scale with cores exactly like batches.  asyncio code
+        awaits the future through :func:`asyncio.wrap_future`.
 
         Parameters
         ----------
@@ -367,7 +358,16 @@ class Session(Configurable):
             raise SessionError(
                 f"kind must be 'detect' or 'solve', got {kind!r}"
             )
-        return self._dispatch(self._run_submitted, kind, item, resolved)
+        # The process pool is resolved here, not on the pool thread, so
+        # a close() racing this call still finds it alive.
+        process = (
+            self._ensure_process_executor()
+            if self._backend == "process"
+            else None
+        )
+        return self._ensure_thread_executor().submit(
+            self._run_submitted, kind, item, resolved, process
+        )
 
     def detect_stream(
         self,
@@ -439,7 +439,10 @@ class Session(Configurable):
             if self._closed:
                 raise SessionError("session is closed")
             if self._thread_executor is None:
-                set_blas_threads(self._blas_budget)
+                if self._backend == "thread":
+                    # Runs execute on these threads; on the process
+                    # backend they only wait on the workers.
+                    set_blas_threads(self._blas_budget)
                 self._thread_executor = ThreadPoolExecutor(
                     max_workers=self._max_workers,
                     thread_name_prefix="repro-session",
@@ -459,49 +462,39 @@ class Session(Configurable):
                 )
             return self._process_executor
 
-    def _ensure_dispatch_executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._closed:
-                raise SessionError("session is closed")
-            if self._dispatch_executor is None:
-                if self._backend == "thread":
-                    # Submitted runs execute on these threads; on the
-                    # process backend they only wait on the workers.
-                    set_blas_threads(self._blas_budget)
-                self._dispatch_executor = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-submit",
-                )
-            return self._dispatch_executor
+    def _drop_broken(self, executor: ProcessPoolExecutor) -> None:
+        """Swap out a process pool a dead worker broke.
 
-    def _dispatch(
-        self, fn: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> "Future[Any]":
-        """Run ``fn`` on the dispatch pool and return its future.
-
-        The dispatch pool is separate from the batch executors on
-        purpose: a dispatched call may itself block on the thread or
-        process batch pool (``AsyncSession.detect_batch`` does exactly
-        that), and sharing one pool for both the blocking entry points
-        and the work they fan out would deadlock at saturation.
+        The next call builds a fresh pool; the broken one is shut down
+        without waiting, since its workers will never answer.
         """
-        return self._ensure_dispatch_executor().submit(fn, *args, **kwargs)
+        with self._lock:
+            if self._process_executor is executor:
+                self._process_executor = None
+        executor.shutdown(wait=False)
 
-    def _run_submitted(self, kind: str, item: Any, spec: RunSpec) -> Any:
-        """Dispatch-pool body of one :meth:`submit` job."""
-        if self._backend == "process":
-            executor = self._ensure_process_executor()
-            tag, payload = runner._encode_input(item)
-            self._count_shipped(runner._payload_nbytes(tag, payload))
-            chunk_results, _ = executor.submit(
-                runner._run_chunk, kind, spec.to_dict(), [(0, (tag, payload))]
-            ).result()
-            artifact = chunk_results[0][1]
-        else:
+    def _run_submitted(
+        self,
+        kind: str,
+        item: Any,
+        spec: RunSpec,
+        process: ProcessPoolExecutor | None,
+    ) -> Any:
+        """Thread-pool body of one :meth:`submit` job."""
+        if process is None:
             run_one = (
                 runner._detect_one if kind == "detect" else runner._solve_one
             )
             artifact = run_one(item, spec, 0)
+        else:
+            try:
+                chunk_results, _ = process.submit(
+                    runner._run_chunk, kind, spec.to_dict(), [(0, item)]
+                ).result()
+            except BrokenProcessPool:
+                self._drop_broken(process)
+                raise
+            artifact = chunk_results[0][1]
         self._count(1)
         return artifact
 
@@ -546,7 +539,7 @@ class Session(Configurable):
 
         Returns ``(specs, shared)``: ``specs`` is always aligned
         one-to-one with ``inputs``; ``shared`` is the single spec when
-        one was given (so the process wire can ship it once per chunk)
+        one was given (so a process task carries it once per chunk)
         and ``None`` for true per-item spec lists.
         """
         if isinstance(spec, (list, tuple)):
@@ -622,10 +615,6 @@ class Session(Configurable):
         ]
         return [future.result() for future in futures]
 
-    def _count_shipped(self, nbytes: int) -> None:
-        with self._lock:
-            self._bytes_shipped += nbytes
-
     def _run_batch_processes(
         self,
         kind: str,
@@ -636,19 +625,13 @@ class Session(Configurable):
     ) -> list:
         """Chunked, order-preserving fan-out over the process pool.
 
-        Inputs are lowered to their array wire form
-        (:func:`repro.api.runner._encode_input`), sharded into up to
-        ``CHUNKS_PER_WORKER × width`` contiguous chunks and submitted
-        with at most ``width`` chunks in flight: the executor's shared
-        queue hands the next chunk to whichever worker frees up first,
-        so a straggler only delays its own chunk, not the tail.  The
-        shipped array bytes fold into :meth:`stats`.
+        Inputs are sharded into up to ``CHUNKS_PER_WORKER × width``
+        contiguous chunks and submitted with at most ``width`` chunks in
+        flight: the executor's shared queue hands the next chunk to
+        whichever worker frees up first, so a straggler only delays its
+        own chunk, not the tail.
         """
         executor = self._ensure_process_executor()
-        encoded = [runner._encode_input(item) for item in inputs]
-        self._count_shipped(
-            sum(runner._payload_nbytes(tag, data) for tag, data in encoded)
-        )
         shared_payload = None if shared is None else shared.to_dict()
         spec_dicts = (
             None if shared is not None else [spec.to_dict() for spec in specs]
@@ -661,7 +644,7 @@ class Session(Configurable):
         for chunk_index in range(n_chunks):
             size = base + (1 if chunk_index < extra else 0)
             chunks.append(
-                [(i, encoded[i]) for i in range(start, start + size)]
+                [(i, inputs[i]) for i in range(start, start + size)]
             )
             start += size
 
@@ -681,15 +664,21 @@ class Session(Configurable):
                     executor.submit(runner._run_chunk, kind, payload, chunk)
                 )
 
-        for _ in range(min(width, n_chunks)):
-            submit_next()
-        while in_flight:
-            done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                chunk_results, _ = future.result()
-                for index, artifact in chunk_results:
-                    results[index] = artifact
+        try:
+            for _ in range(min(width, n_chunks)):
                 submit_next()
+            while in_flight:
+                done, in_flight = wait(
+                    in_flight, return_when=FIRST_COMPLETED
+                )
+                for future in done:
+                    chunk_results, _ = future.result()
+                    for index, artifact in chunk_results:
+                        results[index] = artifact
+                    submit_next()
+        except BrokenProcessPool:
+            self._drop_broken(executor)
+            raise
         return results
 
 

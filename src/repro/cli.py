@@ -331,13 +331,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     batches = _read_event_batches(args.updates)
 
     artifacts = []
-    try:
-        session = api.Session(
-            max_workers=args.max_workers, executor=args.executor
-        )
-    except api.SessionError as error:
-        raise SystemExit(str(error)) from None
-    print(_session_line(session.stats()))
+    # detect_stream runs every batch inline, so the session never
+    # builds a pool: it only keeps the run count.
+    session = api.Session()
     try:
         stream = session.detect_stream(
             graph, batches, spec, warm_start=not args.cold
@@ -511,10 +507,10 @@ def _add_session_flags(
 ) -> None:
     """Attach the uniform session-backend flags to a subcommand.
 
-    ``repro detect --repeat``, ``repro stream``, ``repro bench`` and
-    ``repro serve`` all drive :class:`repro.api.Session`; these two
-    flags pick its backend identically everywhere, and each command
-    prints the resolved backend it ran on.
+    ``repro detect --repeat``, ``repro bench`` and ``repro serve`` all
+    fan runs out through :class:`repro.api.Session`; these two flags
+    pick its backend identically everywhere, and each command prints
+    the resolved backend it ran on.
     """
     from repro.api.threads import available_cores
 
@@ -700,7 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
             "patching the QUBO and seeding with the previous partition"
         ),
     )
-    _add_session_flags(stream, default_executor="auto")
     stream.add_argument("--weighted", action="store_true")
     stream.add_argument(
         "--artifact",

@@ -12,9 +12,9 @@ front, the QHD pipelines fan out as one
 :meth:`repro.api.Session.detect_batch` call with per-trial specs, the
 exact branch & bound budgets are derived from the QHD artifacts, and the
 exact pipelines fan out as a second batch — so on a multi-core runner
-the whole table parallelises across processes over the array wire,
-while every trial still runs its own freshly seeded pipeline
-(rows are bit-identical to the old per-trial loop).
+the whole table parallelises across processes, while every trial still
+runs its own freshly seeded pipeline (rows are bit-identical to the old
+per-trial loop).
 """
 
 from __future__ import annotations

@@ -245,21 +245,12 @@ class Graph:
         edge_u: np.ndarray,
         edge_v: np.ndarray,
         edge_w: np.ndarray | None = None,
-        *,
-        canonical: bool = False,
     ) -> "Graph":
         """Build a graph from parallel edge arrays (the true fast path).
 
         Unlike the tuple-iterable constructor, this never materialises
         per-edge Python objects: the arrays go straight through vectorized
         validation, canonicalisation and CSR assembly.
-
-        ``canonical=True`` promises the arrays are already in the form
-        :meth:`to_arrays` produces (u ≤ v, sorted, deduped, in-range)
-        and adopts them as-is without copying — the path process
-        workers take for batch inputs.  Canonicalisation is a
-        stable no-op on canonical input, so both paths build the same
-        graph bit-for-bit.
         """
         graph = cls.__new__(cls)
         graph._n = _check_n_nodes(n_nodes)
@@ -274,11 +265,7 @@ class Graph:
                 "edge_u, edge_v and edge_w must have equal lengths, got "
                 f"{len(u_arr)}, {len(v_arr)}, {len(w_arr)}"
             )
-        if canonical:
-            graph._edge_u = u_arr
-            graph._edge_v = v_arr
-            graph._edge_w = w_arr
-        elif len(u_arr) == 0:
+        if len(u_arr) == 0:
             empty_i = np.empty(0, dtype=np.int64)
             graph._edge_u = empty_i
             graph._edge_v = empty_i.copy()
@@ -372,14 +359,12 @@ class Graph:
         return _readonly_triple(self._edge_u, self._edge_v, self._edge_w)
 
     def to_arrays(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """``(n_nodes, edge_u, edge_v, edge_w)`` — the wire form of a graph.
+        """``(n_nodes, edge_u, edge_v, edge_w)`` — a graph as plain arrays.
 
         ``Graph.from_arrays(*graph.to_arrays())`` reconstructs an equal
         graph: the returned arrays are already canonical (``u <= v``,
         duplicates merged, sorted), so the rebuild's canonicalisation
-        pass is a stable no-op.  This is how
-        ``Session(executor="process")`` ships graphs to worker
-        processes — raw numpy buffers, never a pickled object graph.
+        pass is a stable no-op.
         """
         u, v, w = self.edge_arrays()
         return (self._n, u, v, w)

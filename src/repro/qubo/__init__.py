@@ -45,31 +45,10 @@ from repro.qubo.transformations import (
 )
 
 
-def model_from_arrays(arrays: dict) -> BaseQubo:
-    """Rebuild whichever QUBO backend produced an array bundle.
-
-    Dispatches on the bundle's ``"kind"`` tag to
-    :meth:`QuboModel.from_arrays` or
-    :meth:`SparseQuboModel.from_arrays` — the receiving half of the
-    process-pool wire format (see ``Session(executor="process")``).
-    """
-    from repro.exceptions import QuboError
-
-    kind = arrays.get("kind") if isinstance(arrays, dict) else None
-    if kind == "dense":
-        return QuboModel.from_arrays(arrays)
-    if kind == "sparse":
-        return SparseQuboModel.from_arrays(arrays)
-    raise QuboError(
-        f"unknown model array bundle kind {kind!r}; "
-        "expected 'dense' or 'sparse'"
-    )
-
 __all__ = [
     "BaseQubo",
     "QuboModel",
     "SparseQuboModel",
-    "model_from_arrays",
     "FlipDeltaState",
     "BatchFlipDeltaState",
     "CommunityQubo",

@@ -33,7 +33,7 @@ and fields are directly comparable across backends.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -263,55 +263,6 @@ class QuboModel(BaseQubo):
         return (1.0 - 2.0 * vec[index]) * field
 
     # ------------------------------------------------------------------
-    # Array serialisation (process-pool wire format)
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> dict[str, Any]:
-        """Canonical-array bundle for cheap cross-process handoff.
-
-        Returns a dict of plain numpy arrays and scalars (no object
-        graphs) that :meth:`from_arrays` reconstructs bit-exactly.  This
-        is the wire format of ``Session(executor="process")`` batches:
-        the canonical internal arrays ship as raw buffers instead of a
-        pickled object graph, and reconstruction skips every
-        canonicalisation pass.
-
-        Examples
-        --------
-        >>> model = QuboModel([[0.0, -2.0], [0.0, 0.0]], [1.0, 1.0])
-        >>> clone = QuboModel.from_arrays(model.to_arrays())
-        >>> clone.evaluate([1, 1]) == model.evaluate([1, 1])
-        True
-        """
-        return {
-            "kind": "dense",
-            "coupling": self._coupling,
-            "effective_linear": self._effective_linear,
-            "offset": self._offset,
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, Any]) -> "QuboModel":
-        """Rebuild a model from a :meth:`to_arrays` bundle, bit-exactly.
-
-        The bundle's arrays are trusted to be canonical (symmetric
-        zero-diagonal coupling, diagonal already folded into the
-        effective linear term), so no validation or canonicalisation is
-        re-run — the round-trip is exact and O(1) beyond the array
-        copies the transport already made.
-        """
-        if arrays.get("kind") != "dense":
-            raise QuboError(
-                f"expected a 'dense' array bundle, got {arrays.get('kind')!r}"
-            )
-        model = cls.__new__(cls)
-        model._coupling = np.asarray(arrays["coupling"], dtype=np.float64)
-        model._effective_linear = np.asarray(
-            arrays["effective_linear"], dtype=np.float64
-        )
-        model._offset = float(arrays["offset"])
-        return model
-
-    # ------------------------------------------------------------------
     # Streaming patches
     # ------------------------------------------------------------------
     def patch(
@@ -323,9 +274,9 @@ class QuboModel(BaseQubo):
     ) -> "QuboModel":
         """A new model with replacement canonical arrays spliced in.
 
-        The streaming path's counterpart of :meth:`from_arrays`: every
-        argument left ``None`` is shared with this model (instances are
-        immutable, so sharing is safe), and nothing is re-canonicalised
+        Every argument left ``None`` is shared with this model
+        (instances are immutable, so sharing is safe), and nothing is
+        re-canonicalised
         — ``coupling`` must already be symmetric with a zero diagonal
         and ``effective_linear`` must already carry the folded
         diagonal.  See

@@ -337,102 +337,6 @@ class SparseQuboModel(BaseQubo):
         return (1.0 - 2.0 * vec[index]) * field
 
     # ------------------------------------------------------------------
-    # Array serialisation (process-pool wire format)
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> dict:
-        """Canonical-array bundle for cheap cross-process handoff.
-
-        The CSR coupling ships as its raw ``(data, indices, indptr)``
-        triple and the optional factors as their own CSR triple plus the
-        coefficient/diagonal vectors — plain numpy buffers throughout,
-        no pickled object graphs.  :meth:`from_arrays` reconstructs the
-        model bit-exactly without re-running canonicalisation (the
-        factor folding into ``effective_linear``/``offset`` already
-        happened at original construction and is *not* repeated).
-
-        Examples
-        --------
-        >>> import numpy as np
-        >>> from scipy import sparse
-        >>> q = sparse.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
-        >>> model = SparseQuboModel(q, [-1.0, -1.0])
-        >>> clone = SparseQuboModel.from_arrays(model.to_arrays())
-        >>> clone.evaluate([1, 0]) == model.evaluate([1, 0])
-        True
-        """
-        bundle = {
-            "kind": "sparse",
-            "n": self.n_variables,
-            "coupling_data": self._coupling.data,
-            "coupling_indices": self._coupling.indices,
-            "coupling_indptr": self._coupling.indptr,
-            "effective_linear": self._effective_linear,
-            "offset": self._offset,
-        }
-        if self._factor_matrix is not None:
-            bundle.update(
-                factor_coefficients=self._factor_coefficients,
-                factor_diagonal=self._factor_diagonal,
-                factor_data=self._factor_matrix.data,
-                factor_indices=self._factor_matrix.indices,
-                factor_indptr=self._factor_matrix.indptr,
-                factor_rows=self._factor_matrix.shape[0],
-            )
-        return bundle
-
-    @classmethod
-    def from_arrays(cls, arrays: dict) -> "SparseQuboModel":
-        """Rebuild a model from a :meth:`to_arrays` bundle, bit-exactly.
-
-        The bundle's arrays are trusted to be the canonical internals
-        (symmetrised zero-diagonal coupling, factor diagonal/linear
-        parts already folded), so construction is pure CSR reassembly —
-        the transposed factor layout is rebuilt deterministically and
-        the cached CSC copy stays lazy.
-        """
-        if arrays.get("kind") != "sparse":
-            raise QuboError(
-                f"expected a 'sparse' array bundle, got {arrays.get('kind')!r}"
-            )
-        n = int(arrays["n"])
-        model = cls.__new__(cls)
-        model._coupling = sparse.csr_matrix(
-            (
-                arrays["coupling_data"],
-                arrays["coupling_indices"],
-                arrays["coupling_indptr"],
-            ),
-            shape=(n, n),
-        )
-        model._effective_linear = np.asarray(
-            arrays["effective_linear"], dtype=np.float64
-        )
-        model._offset = float(arrays["offset"])
-        model._factor_matrix = None
-        model._factor_matrix_t = None
-        model._factor_matrix_csc = None
-        model._factor_coefficients = None
-        model._factor_diagonal = None
-        if "factor_data" in arrays:
-            f_mat = sparse.csr_matrix(
-                (
-                    arrays["factor_data"],
-                    arrays["factor_indices"],
-                    arrays["factor_indptr"],
-                ),
-                shape=(int(arrays["factor_rows"]), n),
-            )
-            model._factor_matrix = f_mat
-            model._factor_matrix_t = f_mat.T.tocsr()
-            model._factor_coefficients = np.asarray(
-                arrays["factor_coefficients"], dtype=np.float64
-            )
-            model._factor_diagonal = np.asarray(
-                arrays["factor_diagonal"], dtype=np.float64
-            )
-        return model
-
-    # ------------------------------------------------------------------
     # Streaming patches
     # ------------------------------------------------------------------
     def patch(
@@ -449,10 +353,9 @@ class SparseQuboModel(BaseQubo):
     ) -> "SparseQuboModel":
         """A new model with replacement canonical arrays spliced in.
 
-        The streaming path's counterpart of :meth:`from_arrays`: every
-        argument left ``None`` is *shared* with this model (instances
-        are immutable, so sharing is safe), and — exactly like
-        ``from_arrays`` — nothing is re-canonicalised.  ``coupling``
+        Every argument left ``None`` is *shared* with this model
+        (instances are immutable, so sharing is safe), and nothing is
+        re-canonicalised.  ``coupling``
         must already be the symmetric zero-diagonal CSR with explicit
         zeros eliminated; ``effective_linear``/``offset`` must already
         carry the folded diagonal and factor parts; ``factor_data``

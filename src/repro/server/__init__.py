@@ -3,8 +3,9 @@
 :class:`ReproServer` (:mod:`repro.server.core`) serves ``POST
 /detect`` / ``POST /solve`` JSON requests through one warm
 :class:`repro.api.Session` with bounded-queue admission, per-request
-``time_limit`` SLAs and graceful SIGTERM drain; :mod:`repro.server.wire`
-defines the request payload formats.  Everything is standard library —
+``time_limit`` SLAs, graceful SIGTERM drain and a ``503`` for a
+request a dead worker process failed; :mod:`repro.server.wire` defines
+the request payload formats.  Everything is standard library —
 the tier adds no dependency beyond the Python that runs the solvers.
 
 Examples

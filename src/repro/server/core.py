@@ -12,8 +12,8 @@ server with the session's own executors doing the work:
   bit-identical to direct :func:`repro.api.detect` runs.
 * ``GET /healthz`` — liveness (+ drain state).
 * ``GET /stats`` — request counters, queue depth, and the full
-  :meth:`repro.api.Session.stats` (run, clamp and wire-byte
-  counters, executor, BLAS threads).
+  :meth:`repro.api.Session.stats` (run and clamp counters, executor,
+  BLAS threads).
 
 Robustness contract
 -------------------
@@ -35,18 +35,24 @@ finish and are joined (``block_on_close``), new requests get ``503``,
 and an owned session is closed — reaping worker processes — before
 :meth:`serve_forever` returns.
 
+**Worker death.**  A killed process worker breaks the session's pool;
+the requests it fails answer ``503`` with ``Retry-After`` (tallied in
+``errors``), and the session builds a fresh pool for the next one.
+
 Error mapping: ``404`` unknown path, ``405`` wrong method, ``411``
 missing ``Content-Length``, ``413`` oversized body, ``400`` invalid
 JSON, ``422`` well-formed JSON that is not a valid request
 (:class:`repro.server.wire.WireError` or a library
 :class:`repro.exceptions.ReproError`), ``429`` queue full, ``503``
-draining, ``500`` anything unexpected (tallied in ``errors``).
+draining or a dead worker, ``500`` anything unexpected (tallied in
+``errors``).
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, cast
 
@@ -223,6 +229,15 @@ class _Handler(BaseHTTPRequestHandler):
         except (wire.WireError, ReproError) as error:
             server._tally("errors")
             self._send_error_json(422, str(error))
+            return
+        except BrokenProcessPool as error:
+            # The session already swapped the broken pool out.
+            server._tally("errors")
+            self._send_error_json(
+                503,
+                f"a worker process died: {error}",
+                headers={"Retry-After": "1"},
+            )
             return
         except Exception as error:  # noqa: BLE001 - last-resort 500
             server._tally("errors")

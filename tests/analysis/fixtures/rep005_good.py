@@ -1,4 +1,4 @@
-"""REP005 fixture: array wire format and lock-guarded counters (clean)."""
+"""REP005 fixture: JSON wire form and lock-guarded counters (clean)."""
 
 import threading
 
@@ -15,4 +15,4 @@ class Pool:
         with self._lock:
             self._hits += 1
             self._idle[key] = payload
-        return payload.to_arrays()
+        return payload.to_dict()

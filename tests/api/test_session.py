@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -60,8 +61,8 @@ class TestSessionLifecycle:
             "runs", "clamped_calls", "max_workers", "executor",
             "blas_threads", "wire",
         }
-        # Single runs never serialise their input.
-        assert stats["wire"] == {"mode": "pickle", "bytes_shipped": 0}
+        # Process tasks carry their inputs pickled by the executor.
+        assert stats["wire"] == {"mode": "pickle"}
         # The process's count, read back through the shim.
         assert stats["blas_threads"] == threads.blas_threads()
 
@@ -258,7 +259,53 @@ class TestSubmit:
         np.testing.assert_array_equal(
             artifact.result.labels, fresh.result.labels
         )
-        assert stats["wire"]["bytes_shipped"] > 0
+        assert stats["runs"] == 1
+
+    def test_close_returns_in_flight_process_submits(self, clique_ring):
+        # close() shuts the forwarding thread down before the process
+        # pool it forwards to, so a submit still queued behind another
+        # one when close() is called lands too.
+        graph, _ = clique_ring
+        fresh = _fresh_artifact(graph, QHD_SPEC)
+        session = Session(executor="process", max_workers=1)
+        futures = [session.submit(graph, QHD_SPEC) for _ in range(2)]
+        session.close()
+        for future in futures:
+            np.testing.assert_array_equal(
+                future.result(timeout=120).result.labels,
+                fresh.result.labels,
+            )
+
+    def test_submits_and_batches_share_the_slots(self, monkeypatch):
+        """At most ``max_workers`` runs overlap across both verbs."""
+        lock = threading.Lock()
+        running = [0]
+        peak = [0]
+        original = runner._detect_one
+
+        def counted(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                time.sleep(0.05)
+                return original(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(runner, "_detect_one", counted)
+        graph = ring_of_cliques(3, 4)[0]
+        spec = {"solver": "greedy", "n_communities": 3, "seed": 0}
+        with Session(executor="thread", max_workers=2) as session:
+            futures = [session.submit(graph, spec) for _ in range(3)]
+            with ThreadPoolExecutor(max_workers=1) as caller:
+                batch = caller.submit(
+                    session.detect_batch, [graph] * 4, spec
+                ).result(timeout=60)
+            singles = [future.result(timeout=60) for future in futures]
+        assert len(batch) == 4 and len(singles) == 3
+        assert peak[0] <= 2
 
 
 class TestClampWarnOnce:

@@ -59,7 +59,7 @@ def test_thread_batch_divides_the_cores(start, graph):
         assert session.stats()["blas_threads"] == budget
 
 
-def test_every_process_worker_gets_the_budget(start):
+def test_every_process_worker_gets_the_budget(start, graph):
     with Session(executor="process", max_workers=2) as session:
         # Workers fork from a parent at every core, so their count can
         # only come from the initializer.
@@ -67,6 +67,8 @@ def test_every_process_worker_gets_the_budget(start):
         executor = session._ensure_process_executor()
         futures = [executor.submit(threads.blas_threads) for _ in range(6)]
         counts = {future.result(timeout=60) for future in futures}
+        # A submit builds the thread pool that forwards to the workers.
+        session.submit(graph, SPEC).result(timeout=60)
         # The parent only waits on its workers and keeps its count.
         assert threads.blas_threads() == min(CORES, start)
     assert counts == {min(max(1, CORES // 2), start)}

@@ -5,8 +5,9 @@ responses byte-identical to direct :func:`repro.api.detect` artifacts
 (modulo wall-clock timings), bounded-queue backpressure (429 +
 ``Retry-After``, both deterministically and under a real burst),
 per-request ``time_limit`` SLAs surfacing ``status="time_limit"``,
-the full HTTP error mapping, and a SIGTERM drain that leaves no worker
-processes or ``/dev/shm`` segments behind.
+the full HTTP error mapping, a killed worker answered with 503 and then
+recovered from, and a SIGTERM drain that leaves no worker processes or
+``/dev/shm`` segments behind.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -304,6 +306,29 @@ class TestBackpressure:
         assert statuses[-1] == 429  # and someone was shed
         assert stats["served"] + stats["shed"] == 4
         assert stats["served"] >= 1 and stats["shed"] >= 1
+
+
+class TestWorkerDeath:
+    def test_killed_worker_answers_503_then_recovers(self):
+        graph, _ = ring_of_cliques(3, 4)
+        body = {"graph": _graph_payload(graph), "spec": QHD_SPEC}
+        with _serving(
+            max_queue=2, executor="process", max_workers=2
+        ) as server:
+            status, _, _ = _request(server.url + "/detect", body)
+            assert status == 200
+            pool = server.session._process_executor
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            status, payload, headers = _request(
+                server.url + "/detect", body
+            )
+            assert status == 503, payload
+            assert headers["Retry-After"] == "1"
+            status, payload, _ = _request(server.url + "/detect", body)
+            assert status == 200, payload
 
 
 class TestSigtermDrain:

@@ -344,6 +344,83 @@ class TestSpecDriven:
         assert rerun.result.labels.tolist() == data["result"]["labels"]
 
 
+class TestStreamCommand:
+    SPEC = {"detector": "direct", "solver": "greedy",
+            "n_communities": 3, "seed": 7}
+    BATCHES = [
+        [{"op": "insert", "u": 0, "v": 9, "w": 2.0},
+         {"op": "delete", "u": 0, "v": 1}],
+        {"op": "reweight", "u": 3, "v": 4, "w": 0.5},
+    ]
+
+    def _files(self, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(self.SPEC), encoding="utf-8")
+        events = tmp_path / "events.jsonl"
+        events.write_text(
+            "".join(json.dumps(batch) + "\n" for batch in self.BATCHES),
+            encoding="utf-8",
+        )
+        return spec_file, events
+
+    def test_stream_prints_batches_and_writes_artifacts(
+        self, graph_file, tmp_path, capsys
+    ):
+        import repro.api as api
+        from repro.graphs.io import read_edge_list
+
+        spec_file, events = self._files(tmp_path)
+        artifact_file = tmp_path / "stream.json"
+        code = main(
+            [
+                "stream",
+                "--input",
+                str(graph_file),
+                "--spec",
+                str(spec_file),
+                "--updates",
+                str(events),
+                "--artifact",
+                str(artifact_file),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("batch ") for line in out) == 2
+        assert not any(line.startswith("executor:") for line in out)
+        data = json.loads(artifact_file.read_text(encoding="utf-8"))
+        updates = [
+            [batch] if isinstance(batch, dict) else batch
+            for batch in self.BATCHES
+        ]
+        expected = api.detect_stream(
+            read_edge_list(graph_file), updates, self.SPEC
+        )
+        assert len(data) == 2
+        for entry, artifact in zip(data, expected):
+            assert entry["result"]["labels"] == (
+                artifact.result.labels.tolist()
+            )
+
+    def test_stream_has_no_executor_flags(self, graph_file, tmp_path):
+        spec_file, events = self._files(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "stream",
+                    "--input",
+                    str(graph_file),
+                    "--spec",
+                    str(spec_file),
+                    "--updates",
+                    str(events),
+                    "--executor",
+                    "thread",
+                ]
+            )
+        assert excinfo.value.code == 2
+
+
 class TestBenchCommand:
     def test_unknown_experiment_exits(self):
         with pytest.raises(SystemExit, match="unknown experiment"):
