@@ -168,6 +168,7 @@ class Session(Configurable):
     _locked_fields = (
         "_runs",
         "_clamped_calls",
+        "_worker_restarts",
         "_closed",
         "_thread_executor",
         "_process_executor",
@@ -204,6 +205,7 @@ class Session(Configurable):
         self._closed = False
         self._runs = 0
         self._clamped_calls = 0
+        self._worker_restarts = 0
         self._clamp_warned: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -230,14 +232,17 @@ class Session(Configurable):
         ``blas_threads`` is the process's OpenBLAS thread count read
         back from the library (``None`` without OpenBLAS).  ``wire``
         names how process tasks carry their inputs: the executor
-        pickles them.
+        pickles them.  ``worker_restarts`` counts the process pools a
+        dead worker broke and the session replaced.
         """
         with self._lock:
             runs = self._runs
             clamped = self._clamped_calls
+            restarts = self._worker_restarts
         return {
             "runs": runs,
             "clamped_calls": clamped,
+            "worker_restarts": restarts,
             "max_workers": self._max_workers,
             "executor": self._backend,
             "blas_threads": blas_threads(),
@@ -466,11 +471,14 @@ class Session(Configurable):
         """Swap out a process pool a dead worker broke.
 
         The next call builds a fresh pool; the broken one is shut down
-        without waiting, since its workers will never answer.
+        without waiting, since its workers will never answer.  Only the
+        call that swaps the pool out counts a restart, so several calls
+        failing on one broken pool count once.
         """
         with self._lock:
             if self._process_executor is executor:
                 self._process_executor = None
+                self._worker_restarts += 1
         executor.shutdown(wait=False)
 
     def _run_submitted(

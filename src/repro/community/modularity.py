@@ -42,9 +42,10 @@ def modularity(graph: Graph, labels: np.ndarray) -> float:
     if two_m == 0:
         return 0.0
     edge_u, edge_v, edge_w = graph.edge_arrays()
+    label_of = labels.tolist()
     internal = 0.0
     for u, v, w in zip(edge_u.tolist(), edge_v.tolist(), edge_w.tolist()):
-        if labels[u] == labels[v]:
+        if label_of[u] == label_of[v]:
             # Every edge contributes 2w to the double sum: off-diagonal
             # edges appear at (i, j) and (j, i); a self-loop has A_ii = 2w
             # (Newman's multigraph convention, which also makes modularity

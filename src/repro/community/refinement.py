@@ -4,9 +4,24 @@ Nodes are repeatedly reassigned to the neighbouring community with the
 highest positive modularity gain until a pass makes no move or the pass
 budget is exhausted (paper §III-B.2, Uncoarsening and Refinement step 2).
 Gains are maintained incrementally from community degree sums, so a full
-pass costs O(|E|); the per-node inner loop (neighbour-community weight
-accumulation and gain computation) is vectorized — one ``np.unique`` +
-``np.bincount`` segment sum per node instead of a Python dict.
+pass costs O(|E|).
+
+The per-node loop runs on Python lists and a dict, converted from the
+graph's arrays once per call.  A node of a sparse graph has about a
+dozen neighbours (13 on the n=1000 LFR benchmark graphs); on slices
+that short each numpy call costs more in dispatch than in arithmetic,
+and the earlier vectorised loop made about two dozen of them per node
+(slices, a mask, a unique/inverse pair, a segment sum, a search, the
+gain arithmetic).
+
+Contract: labels and move counts are bit-identical to that vectorised
+loop, which ``tests/community/test_refine_equivalence.py`` keeps as the
+reference.  Each neighbouring community's weight is summed in neighbour
+order starting from 0.0, as ``np.bincount`` adds; candidates are visited
+in ascending label order; the gain
+``(w_c - w_cur) / m - d_i * (S_c - (S_cur - d_i)) / (2 m^2)`` is
+evaluated left to right in the same float operations; tolerance and
+tie-breaking are unchanged.
 
 The same routine doubles as Louvain's phase 1 when started from singleton
 communities (see :mod:`repro.community.louvain`).
@@ -60,7 +75,8 @@ def refine_labels(
     graph:
         The graph being partitioned.
     labels:
-        Initial community assignment (not mutated).
+        Initial community assignment (not mutated): non-negative
+        integers, validated by :func:`check_partition`.
     max_passes:
         Maximum sweeps over all nodes.
     tolerance:
@@ -76,6 +92,12 @@ def refine_labels(
     (labels, n_moves):
         The refined assignment and the total number of moves applied.
 
+    Raises
+    ------
+    PartitionError
+        If ``labels`` has the wrong shape, or holds negative or
+        non-integral values.
+
     Notes
     -----
     Moves are restricted to communities adjacent to the node (plus staying
@@ -83,11 +105,7 @@ def refine_labels(
     keeps each pass linear in the edge count.
     """
     check_integer(max_passes, "max_passes", minimum=1)
-    labels = np.asarray(labels, dtype=np.int64).copy()
-    if labels.shape != (graph.n_nodes,):
-        raise PartitionError(
-            f"labels must have shape ({graph.n_nodes},), got {labels.shape}"
-        )
+    labels = check_partition(graph, labels)
     m = graph.total_weight
     if m <= 0 or graph.n_nodes == 0:
         return labels, 0
@@ -98,11 +116,14 @@ def refine_labels(
 
         rng = ensure_rng(seed)
 
-    n_slots = int(labels.max()) + 1
-    degree_sums = np.zeros(n_slots, dtype=np.float64)
+    degree_sums = np.zeros(int(labels.max()) + 1, dtype=np.float64)
     np.add.at(degree_sums, labels, graph.degrees)
-    degrees = graph.degrees
-    indptr, indices, weights = graph.csr()
+    # Plain lists from here on (see the module docstring).
+    sums = degree_sums.tolist()
+    label_of = labels.tolist()
+    degrees = graph.degrees.tolist()
+    indptr, indices, weights = (array.tolist() for array in graph.csr())
+    two_m_squared = 2.0 * m * m
 
     total_moves = 0
     for _ in range(max_passes):
@@ -112,54 +133,40 @@ def refine_labels(
         else:
             node_order = rng.permutation(graph.n_nodes).tolist()
         for node in node_order:
-            current = int(labels[node])
-            d_i = float(degrees[node])
-            start, end = int(indptr[node]), int(indptr[node + 1])
-            neighbors = indices[start:end]
-            nb_weights = weights[start:end]
-            keep = neighbors != node  # drop self-loops
-            neighbor_labels = labels[neighbors[keep]]
-            if not len(neighbor_labels):
+            start, end = indptr[node], indptr[node + 1]
+            # Edge weight into each neighbouring community, summed in
+            # neighbour order from 0.0 (self-loops dropped).
+            weight_to: dict[int, float] = {}
+            for neighbor, w in zip(indices[start:end], weights[start:end]):
+                if neighbor != node:
+                    c = label_of[neighbor]
+                    weight_to[c] = weight_to.get(c, 0.0) + w
+            if not weight_to:
                 continue
 
-            # Per-neighbouring-community weight sums in one segment sum:
-            # candidate communities (sorted ascending) and their total
-            # edge weight to `node`.
-            candidates, compact = np.unique(
-                neighbor_labels, return_inverse=True
-            )
-            weight_to = np.bincount(compact, weights=nb_weights[keep])
-
-            position = int(np.searchsorted(candidates, current))
-            if (
-                position < len(candidates)
-                and candidates[position] == current
-            ):
-                w_current = float(weight_to[position])
-            else:
-                w_current = 0.0
-            d_current_removed = degree_sums[current] - d_i
-            gains = (weight_to - w_current) / m - d_i * (
-                degree_sums[candidates] - d_current_removed
-            ) / (2.0 * m * m)
-
+            current = label_of[node]
+            d_i = degrees[node]
+            w_current = weight_to.get(current, 0.0)
+            d_current_removed = sums[current] - d_i
             best_gain = 0.0
             best_community = current
-            for slot, c in enumerate(candidates.tolist()):
+            for c in sorted(weight_to):
                 if c == current:
                     continue
-                gain = float(gains[slot])
+                gain = (weight_to[c] - w_current) / m - d_i * (
+                    sums[c] - d_current_removed
+                ) / two_m_squared
                 if gain > best_gain + tolerance or (
                     gain > best_gain and c < best_community
                 ):
                     best_gain = gain
                     best_community = c
             if best_community != current and best_gain > tolerance:
-                labels[node] = best_community
-                degree_sums[current] -= d_i
-                degree_sums[best_community] += d_i
+                label_of[node] = best_community
+                sums[current] -= d_i
+                sums[best_community] += d_i
                 moves_this_pass += 1
         total_moves += moves_this_pass
         if moves_this_pass == 0:
             break
-    return labels, total_moves
+    return np.array(label_of, dtype=np.int64), total_moves

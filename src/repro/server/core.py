@@ -37,7 +37,8 @@ and an owned session is closed — reaping worker processes — before
 
 **Worker death.**  A killed process worker breaks the session's pool;
 the requests it fails answer ``503`` with ``Retry-After`` (tallied in
-``errors``), and the session builds a fresh pool for the next one.
+``errors``), and the session builds a fresh pool for the next one
+(``/stats`` → ``session.worker_restarts``).
 
 Error mapping: ``404`` unknown path, ``405`` wrong method, ``411``
 missing ``Content-Length``, ``413`` oversized body, ``400`` invalid

@@ -159,6 +159,7 @@ class TestProcessRuntime:
         ]
         with Session(executor="process", max_workers=2) as session:
             session.detect_batch(graphs, QHD_SPEC)
+            assert session.stats()["worker_restarts"] == 0
             victim = next(iter(session._process_executor._processes))
             os.kill(victim, signal.SIGKILL)
             calls = [lambda: session.detect_batch(graphs, QHD_SPEC)] * 3 + [
@@ -171,6 +172,9 @@ class TestProcessRuntime:
                 except BrokenProcessPool:
                     failures += 1
             assert failures <= 1
+            # The broken pool was swapped out once, however many calls
+            # saw it fail.
+            assert session.stats()["worker_restarts"] == 1
             got = session.detect_batch(graphs, QHD_SPEC)
         _assert_artifacts_identical(expected, got)
 

@@ -58,9 +58,10 @@ class TestSessionLifecycle:
             stats = session.stats()
         assert stats["runs"] == 1
         assert set(stats) == {
-            "runs", "clamped_calls", "max_workers", "executor",
-            "blas_threads", "wire",
+            "runs", "clamped_calls", "worker_restarts", "max_workers",
+            "executor", "blas_threads", "wire",
         }
+        assert stats["worker_restarts"] == 0
         # Process tasks carry their inputs pickled by the executor.
         assert stats["wire"] == {"mode": "pickle"}
         # The process's count, read back through the shim.

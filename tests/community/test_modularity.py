@@ -12,6 +12,7 @@ from repro.community.modularity import (
 from repro.exceptions import PartitionError
 from repro.graphs.generators import planted_partition_graph, ring_of_cliques
 from repro.graphs.graph import Graph
+from repro.graphs.lfr import lfr_graph
 
 
 class TestModularity:
@@ -77,6 +78,39 @@ class TestModularity:
         # partition must be 0 (all weight internal, null model saturated).
         g = Graph(2, [(0, 0, 2.0)])
         assert modularity(g, np.array([0, 1])) == 0.0
+
+    def test_bit_identical_to_numpy_indexed_loop(self):
+        # The edge loop reads labels from a list; same additions in the
+        # same order as the earlier loop over the numpy array.
+        def numpy_indexed(graph, labels):
+            labels = np.asarray(labels, dtype=np.int64)
+            two_m = 2.0 * graph.total_weight
+            edge_u, edge_v, edge_w = graph.edge_arrays()
+            internal = 0.0
+            for u, v, w in zip(
+                edge_u.tolist(), edge_v.tolist(), edge_w.tolist()
+            ):
+                if labels[u] == labels[v]:
+                    internal += 2.0 * w
+            null = float(
+                np.sum(community_degree_sums(graph, labels) ** 2)
+            ) / two_m
+            return (internal - null) / two_m
+
+        graph = lfr_graph(1000, mixing=0.2, seed=3)[0]
+        rng = np.random.default_rng(3)
+        for labels in (
+            rng.integers(0, 8, graph.n_nodes),
+            rng.integers(0, 40, graph.n_nodes) * 3,  # gappy labels
+        ):
+            assert modularity(graph, labels) == numpy_indexed(graph, labels)
+        weighted = Graph(
+            5, [(0, 1, 0.3), (1, 2, 1.7), (2, 2, 0.9), (3, 4, 2.2)]
+        )
+        labels = np.array([0, 0, 0, 2, 2])
+        assert modularity(weighted, labels) == numpy_indexed(
+            weighted, labels
+        )
 
 
 class TestCommunityDegreeSums:

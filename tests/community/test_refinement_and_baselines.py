@@ -58,6 +58,30 @@ class TestRefineLabels:
         with pytest.raises(PartitionError):
             refine_labels(tiny_graph, np.zeros(2, dtype=int))
 
+    def test_negative_labels_rejected(self):
+        # A -1 used to wrap onto the last degree-sum slot and silently
+        # refine a different partition than the one given.
+        graph, truth = planted_partition_graph(3, 15, 0.4, 0.05, seed=0)
+        start = np.where(truth == 0, -1, truth)
+        with pytest.raises(PartitionError, match="non-negative"):
+            refine_labels(graph, start)
+
+    def test_fractional_labels_rejected(self):
+        graph, truth = planted_partition_graph(3, 15, 0.4, 0.05, seed=0)
+        with pytest.raises(PartitionError, match="integers"):
+            refine_labels(graph, truth + 0.5)
+
+    def test_integral_float_labels_accepted(self):
+        graph, truth = planted_partition_graph(3, 15, 0.4, 0.05, seed=0)
+        start = np.random.default_rng(4).integers(0, 3, graph.n_nodes)
+        as_float = start.astype(np.float64)
+        got, got_moves = refine_labels(graph, as_float)
+        want, want_moves = refine_labels(graph, start)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert got_moves == want_moves > 0
+        np.testing.assert_array_equal(as_float, start.astype(np.float64))
+
     def test_max_passes_respected(self):
         graph, _ = planted_partition_graph(4, 15, 0.3, 0.05, seed=3)
         start = np.arange(graph.n_nodes)

@@ -111,6 +111,7 @@ class TestEndpoints:
             assert stats["server"]["max_queue"] == 2
             assert stats["server"]["queue_depth"] == 0
             assert stats["session"]["runs"] == 0
+            assert stats["session"]["worker_restarts"] == 0
             assert stats["session"]["wire"]["mode"] == "pickle"
             assert stats["session"]["blas_threads"] == threads.blas_threads()
 
@@ -329,6 +330,9 @@ class TestWorkerDeath:
             assert headers["Retry-After"] == "1"
             status, payload, _ = _request(server.url + "/detect", body)
             assert status == 200, payload
+            status, stats, _ = _request(server.url + "/stats")
+            assert status == 200
+            assert stats["session"]["worker_restarts"] == 1
 
 
 class TestSigtermDrain:
