@@ -1,4 +1,4 @@
-"""ABL-SCHED — QHD schedule ablation (design choice in DESIGN.md).
+"""ABL-SCHED — QHD schedule ablation.
 
 Compares the qhd-default polynomial schedule against linear and
 exponential crossovers on a fixed QUBO portfolio.  The qhd-default

@@ -8,9 +8,8 @@ medium-density networks.
 This bench reuses the Table II pairing and prints the density-sorted
 relative-advantage series.  The reproduction target is the *bounded
 comparability* shape: both pipelines stay within a few percent of each
-other across the density range (see EXPERIMENTS.md for the discussion of
-why the facebook-sized gap does not reproduce against our stronger-
-incumbent exact substitute).
+other across the density range.  The facebook-sized gap does not
+reproduce against our exact substitute, whose incumbent is stronger.
 """
 
 from __future__ import annotations

@@ -18,9 +18,8 @@ reintroduce per-step heap churn:
   documented O(row nnz) flip cost.
 
 ``np.asarray`` / ``np.ascontiguousarray`` are deliberately allowed (the
-no-copy-on-match adoption idiom), as are ``np.fft`` calls (the periodic
-path's documented internal temporaries) and reductions returning
-scalars or index arrays (``np.argmin``, ``np.any``, ``np.isfinite``).
+no-copy-on-match adoption idiom), as are reductions returning scalars or
+index arrays (``np.argmin``, ``np.any``, ``np.isfinite``).
 """
 
 from __future__ import annotations

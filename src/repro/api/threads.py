@@ -1,10 +1,13 @@
 """The process's thread budget: usable cores and OpenBLAS thread counts.
 
 numpy and scipy wheels each bundle their own OpenBLAS —
-``libscipy_openblas64_`` and ``libscipy_openblas`` — and importing
-:mod:`repro` maps both.  Each starts one thread per core, and OpenBLAS
-reads ``OPENBLAS_NUM_THREADS`` only when it loads, so a running process
-can change its count only through the library's own
+``libscipy_openblas64_`` and ``libscipy_openblas``.  Importing
+:mod:`repro` maps numpy's only; scipy's is mapped by the scipy modules
+that link it, such as :mod:`scipy.sparse.csgraph`, which
+:meth:`repro.graphs.Graph.connected_components` loads on first use.
+Each starts one thread per core, and OpenBLAS reads
+``OPENBLAS_NUM_THREADS`` only when it loads, so a running process can
+change its count only through the library's own
 ``*_set_num_threads`` entry point.  This module calls it through
 :mod:`ctypes` on every OpenBLAS mapped into the process, as listed in
 ``/proc/self/maps``.  Where there is no such file, or no OpenBLAS,

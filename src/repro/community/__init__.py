@@ -2,15 +2,11 @@
 
 Direct QUBO-based detection for small networks (§III-B.1), the multilevel
 coarsen/solve/refine pipeline for large networks (§III-B.2, Algorithm 2),
-classical baselines (Louvain, label propagation, spectral), and partition
+the Louvain baseline the experiments compare against, and partition
 quality metrics.
 """
 
-from repro.community.modularity import (
-    community_degree_sums,
-    modularity,
-    modularity_gain_matrix,
-)
+from repro.community.modularity import community_degree_sums, modularity
 from repro.community.partition import Partition
 from repro.community.result import CommunityResult
 from repro.community.aggregate import aggregate_graph
@@ -18,8 +14,6 @@ from repro.community.refinement import refine_labels
 from repro.community.direct import DirectQuboDetector
 from repro.community.multilevel import MultilevelConfig, MultilevelDetector
 from repro.community.louvain import louvain
-from repro.community.label_propagation import label_propagation
-from repro.community.spectral import spectral_communities
 from repro.community.metrics import (
     adjusted_rand_index,
     conductance,
@@ -28,19 +22,11 @@ from repro.community.metrics import (
     partition_summary,
 )
 from repro.community.detector import QhdCommunityDetector
-from repro.community.girvan_newman import girvan_newman
 from repro.community.adaptive import AdaptivePenaltyDetector
-from repro.community.kernighan_lin import kl_swap_refine, swap_gain
-from repro.community.consensus import (
-    co_association_matrix,
-    consensus_detect,
-    consensus_labels,
-)
 
 __all__ = [
     "modularity",
     "community_degree_sums",
-    "modularity_gain_matrix",
     "Partition",
     "CommunityResult",
     "aggregate_graph",
@@ -49,19 +35,11 @@ __all__ = [
     "MultilevelConfig",
     "MultilevelDetector",
     "louvain",
-    "label_propagation",
-    "spectral_communities",
     "adjusted_rand_index",
     "normalized_mutual_information",
     "conductance",
     "coverage",
     "partition_summary",
     "QhdCommunityDetector",
-    "girvan_newman",
     "AdaptivePenaltyDetector",
-    "kl_swap_refine",
-    "swap_gain",
-    "co_association_matrix",
-    "consensus_labels",
-    "consensus_detect",
 ]

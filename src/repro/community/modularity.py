@@ -63,53 +63,3 @@ def community_degree_sums(graph: Graph, labels: np.ndarray) -> np.ndarray:
     sums = np.zeros(n_comm, dtype=np.float64)
     np.add.at(sums, labels, graph.degrees)
     return sums
-
-
-def node_to_community_weights(
-    graph: Graph, node: int, labels: np.ndarray, n_communities: int
-) -> np.ndarray:
-    """Edge weight from ``node`` into each community (self-loops excluded)."""
-    weights = np.zeros(n_communities, dtype=np.float64)
-    neighbors = graph.neighbors(node)
-    nb_weights = graph.neighbor_weights(node)
-    for nb, w in zip(neighbors.tolist(), nb_weights.tolist()):
-        if nb != node:
-            weights[labels[nb]] += w
-    return weights
-
-
-def modularity_gain_matrix(
-    graph: Graph, labels: np.ndarray, n_communities: int | None = None
-) -> np.ndarray:
-    """Gain ``delta Q`` of moving each node to each community.
-
-    Entry ``(i, c)`` is the modularity change of reassigning node ``i`` from
-    its current community to ``c`` (zero for its current community).  Used
-    by tests as the dense oracle for the incremental refinement moves.
-    """
-    labels = _check_labels(graph, labels)
-    if n_communities is None:
-        n_communities = int(labels.max()) + 1 if len(labels) else 0
-    two_m = 2.0 * graph.total_weight
-    gains = np.zeros((graph.n_nodes, n_communities), dtype=np.float64)
-    if two_m == 0:
-        return gains
-    m = graph.total_weight
-    degree_sums = np.zeros(n_communities, dtype=np.float64)
-    np.add.at(degree_sums, labels, graph.degrees)
-
-    for node in range(graph.n_nodes):
-        current = int(labels[node])
-        d_i = graph.degree(node)
-        weights = node_to_community_weights(graph, node, labels, n_communities)
-        for target in range(n_communities):
-            if target == current:
-                continue
-            delta_internal = (weights[target] - weights[current]) / m
-            delta_null = (
-                d_i
-                * (degree_sums[target] - (degree_sums[current] - d_i))
-                / (2.0 * m * m)
-            )
-            gains[node, target] = delta_internal - delta_null
-    return gains

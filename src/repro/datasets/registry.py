@@ -4,7 +4,7 @@ Every row of both evaluation tables is recorded verbatim: instance name,
 node count, edge count, density, and the modularity scores the paper
 reports for GUROBI and QHD.  The registry drives both the synthetic
 substitutes (:mod:`repro.datasets.synthetic`) and the paper-vs-measured
-comparisons in EXPERIMENTS.md.
+comparisons of :mod:`repro.experiments`.
 """
 
 from __future__ import annotations

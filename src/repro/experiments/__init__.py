@@ -2,7 +2,8 @@
 
 Each runner returns a report object with the measured rows plus a
 ``to_text()`` rendering that mirrors the corresponding paper artefact.
-See DESIGN.md section 4 for the experiment index.
+:func:`generate_paper_report` runs them all into one paper-vs-measured
+report.
 """
 
 from repro.experiments.reporting import format_table

@@ -1,4 +1,4 @@
-"""Design-choice ablations called out in DESIGN.md.
+"""Ablations of the reproduction's design choices.
 
 * ABL-SCHED — QHD time-dependence schedule (qhd-default vs linear vs
   exponential) on a fixed QUBO portfolio.

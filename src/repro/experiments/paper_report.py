@@ -2,9 +2,8 @@
 
 ``generate_paper_report`` runs every experiment at a configurable scale
 and returns a single markdown-ish document comparing each measured
-artefact against the numbers printed in the paper — the generator behind
-EXPERIMENTS.md.  Individual sections can be regenerated independently via
-the ``sections`` argument.
+artefact against the numbers printed in the paper.  Individual sections
+can be regenerated independently via the ``sections`` argument.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Graph substrate: CSR graphs, generators, IO, statistics and coarsening."""
+"""Graph substrate: CSR graphs, generators, IO and coarsening."""
 
 from repro.graphs.graph import Graph
 from repro.graphs.coarsen import (
@@ -13,13 +13,11 @@ from repro.graphs.generators import (
     erdos_renyi_graph,
     planted_partition_graph,
     power_law_cluster_graph,
-    random_regular_community_graph,
     ring_of_cliques,
     stochastic_block_model_graph,
 )
 from repro.graphs.lfr import lfr_graph
 from repro.graphs.io import read_edge_list, write_edge_list
-from repro.graphs.analysis import GraphSummary, summarize_graph
 
 __all__ = [
     "Graph",
@@ -32,12 +30,9 @@ __all__ = [
     "erdos_renyi_graph",
     "planted_partition_graph",
     "power_law_cluster_graph",
-    "random_regular_community_graph",
     "ring_of_cliques",
     "stochastic_block_model_graph",
     "lfr_graph",
     "read_edge_list",
     "write_edge_list",
-    "GraphSummary",
-    "summarize_graph",
 ]

@@ -265,65 +265,3 @@ def ring_of_cliques(
                 break  # avoid doubling the single bridge for two cliques
             edges.append((this_last, next_first, 1.0))
     return Graph(k * s, edges), labels
-
-
-def random_regular_community_graph(
-    n_communities: int,
-    community_size: int,
-    intra_degree: int,
-    inter_edges: int,
-    seed: SeedLike = None,
-) -> tuple[Graph, np.ndarray]:
-    """Communities of near-regular random graphs joined by random bridges.
-
-    Each community is a ring plus random chords giving every node
-    approximately ``intra_degree`` intra-community neighbours;
-    ``inter_edges`` uniformly random bridges join distinct communities.
-    Produces homogeneous-degree workloads that stress the balance penalty
-    (paper Eq. 4) rather than the degree distribution.
-    """
-    k = check_integer(n_communities, "n_communities", minimum=1)
-    size = check_integer(community_size, "community_size", minimum=3)
-    d = check_integer(intra_degree, "intra_degree", minimum=2)
-    bridges = check_integer(inter_edges, "inter_edges", minimum=0)
-    if d >= size:
-        raise GraphError(
-            f"intra_degree ({d}) must be < community_size ({size})"
-        )
-    rng = ensure_rng(seed)
-
-    edges: set[tuple[int, int]] = set()
-    labels = np.empty(k * size, dtype=np.int64)
-    for c in range(k):
-        base = c * size
-        labels[base : base + size] = c
-        for i in range(size):  # ring backbone guarantees connectivity
-            u, v = base + i, base + (i + 1) % size
-            edges.add((min(u, v), max(u, v)))
-        chords_needed = max(0, size * (d - 2) // 2)
-        members = np.arange(base, base + size)
-        chord_pairs = _sample_distinct_pairs(
-            members, members, chords_needed + size, rng, forbid_equal=True
-        )
-        added = 0
-        for pair in chord_pairs:
-            if pair not in edges:
-                edges.add(pair)
-                added += 1
-                if added == chords_needed:
-                    break
-
-    if k > 1 and bridges > 0:
-        added = 0
-        guard = 0
-        while added < bridges and guard < bridges * 50:
-            guard += 1
-            ca, cb = rng.choice(k, size=2, replace=False)
-            u = int(ca) * size + int(rng.integers(0, size))
-            v = int(cb) * size + int(rng.integers(0, size))
-            pair = (min(u, v), max(u, v))
-            if pair not in edges:
-                edges.add(pair)
-                added += 1
-    edge_u, edge_v = _pairs_to_arrays(edges)
-    return Graph.from_arrays(k * size, edge_u, edge_v), labels

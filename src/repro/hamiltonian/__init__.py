@@ -21,10 +21,6 @@ from repro.hamiltonian.schedules import (
     Schedule,
     get_schedule,
 )
-from repro.hamiltonian.periodic import (
-    PeriodicGrid,
-    PeriodicKineticPropagator,
-)
 from repro.hamiltonian.propagator import KineticPropagator, strang_step
 from repro.hamiltonian.observables import (
     norms,
@@ -44,8 +40,6 @@ __all__ = [
     "ExponentialSchedule",
     "get_schedule",
     "KineticPropagator",
-    "PeriodicGrid",
-    "PeriodicKineticPropagator",
     "strang_step",
     "norms",
     "normalize",

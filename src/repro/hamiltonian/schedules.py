@@ -6,7 +6,7 @@ where the damping parameters ``e^{phi}`` (kinetic) decay and ``e^{chi}``
 behaviour the QHD paper describes — *kinetic* (free spreading), *global
 search* (tunnelling between basins) and *descent* (localisation in the best
 basin).  Linear and exponential alternatives are provided for the schedule
-ablation (DESIGN.md, ABL-SCHED).
+ablation (ABL-SCHED in :mod:`repro.experiments.ablations`).
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from repro.qhd.solver import QhdSolver
 from repro.qhd.result import QhdDetails, QhdTrace
 from repro.qhd.refinement import refine_candidates, round_positions
 from repro.qhd.exact import ExactQhd1D, ExactQuboQhd
-from repro.qhd.spin import SpinQhdSimulator
 
 __all__ = [
     "QhdSolver",
@@ -24,5 +23,4 @@ __all__ = [
     "round_positions",
     "ExactQhd1D",
     "ExactQuboQhd",
-    "SpinQhdSimulator",
 ]

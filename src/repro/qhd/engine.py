@@ -8,16 +8,15 @@ of per-step temporaries.  :class:`EvolutionEngine` removes that constant
 factor while reproducing the original loop bit-for-bit in complex128:
 
 * **Whole-run precomputation** — the per-step schedule coefficients and
-  the ``(n_steps, grid)`` kinetic phase table ``exp(-i kin_s dt E)`` are
-  built once up front (both the Dirichlet sine-basis and the periodic
-  FFT eigenvalues), so the steady-state loop never calls the schedule or
-  exponentiates the kinetic spectrum again.
+  the ``(n_steps, grid)`` kinetic phase table ``exp(-i kin_s dt E)`` over
+  the Dirichlet sine-basis eigenvalues are built once up front, so the
+  steady-state loop never calls the schedule or exponentiates the
+  kinetic spectrum again.
 * **Ping-pong workspace buffers** — every ``(samples, n, grid)`` tensor
   of a Strang step lives in a preallocated buffer updated with in-place
-  ufuncs and ``np.matmul(..., out=...)``; the steady-state Dirichlet
-  loop performs zero per-step heap allocation of grid-sized tensors
-  (the periodic path pays ``np.fft``'s internal temporaries, and the
-  model's ``(samples, n)`` field mat-vec stays model-owned).
+  ufuncs and ``np.matmul(..., out=...)``; the steady-state loop performs
+  zero per-step heap allocation of grid-sized tensors (the model's
+  ``(samples, n)`` field mat-vec stays model-owned).
 * **Single-pass observables** — ``|psi|^2`` is computed once per step
   and feeds the position expectations, the inverse-CDF measurement draw
   *and* the trace; when ``record_trace`` is off the full-batch
@@ -47,10 +46,6 @@ import numpy as np
 from repro.analysis.markers import hot_path
 from repro.exceptions import SimulationError
 from repro.hamiltonian.grid import PositionGrid, laplacian_eigensystem
-from repro.hamiltonian.periodic import (
-    PeriodicGrid,
-    PeriodicKineticPropagator,
-)
 from repro.hamiltonian.propagator import KineticPropagator
 from repro.hamiltonian.schedules import Schedule
 from repro.qhd.result import QhdTrace
@@ -94,7 +89,7 @@ class EvolutionEngine:
         mean-field local fields and, when tracing, relaxed energies.
     schedule:
         Prebuilt :class:`repro.hamiltonian.Schedule`.
-    n_samples, grid_points, n_steps, t_final, boundary, normalize_every:
+    n_samples, grid_points, n_steps, t_final, normalize_every:
         The :class:`repro.qhd.QhdSolver` evolution knobs, unchanged.
     energy_scale:
         Normalisation of the potential landscape
@@ -129,7 +124,6 @@ class EvolutionEngine:
         grid_points: int,
         n_steps: int,
         t_final: float,
-        boundary: str = "dirichlet",
         normalize_every: int = 10,
         energy_scale: float = 1.0,
         dtype: str = "complex128",
@@ -142,12 +136,6 @@ class EvolutionEngine:
         )
         self.n_steps = check_integer(n_steps, "n_steps", minimum=1)
         self.t_final = check_positive(t_final, "t_final")
-        if boundary not in ("dirichlet", "periodic"):
-            raise SimulationError(
-                f"boundary must be 'dirichlet' or 'periodic', "
-                f"got {boundary!r}"
-            )
-        self.boundary = boundary
         self.normalize_every = check_integer(
             normalize_every, "normalize_every", minimum=1
         )
@@ -156,21 +144,14 @@ class EvolutionEngine:
         self._cdtype, self._rdtype = DTYPES[self.dtype]
 
         real_name = np.dtype(self._rdtype).name
-        if boundary == "periodic":
-            self.grid = PeriodicGrid(self.grid_points, dtype=real_name)
-            self.propagator = PeriodicKineticPropagator(
-                self.grid_points, self.grid.spacing, dtype=real_name
-            )
-            self._modes = None
-        else:
-            self.grid = PositionGrid(self.grid_points, dtype=real_name)
-            self.propagator = KineticPropagator(
-                self.grid_points, self.grid.spacing, dtype=real_name
-            )
-            # Complex copy of the sine modes: the mixed-dtype matmul
-            # would cast the mode matrix on every application anyway,
-            # and the cast is exact, so hoist it out of the loop.
-            self._modes = self.propagator.modes.astype(self._cdtype)
+        self.grid = PositionGrid(self.grid_points, dtype=real_name)
+        self.propagator = KineticPropagator(
+            self.grid_points, self.grid.spacing, dtype=real_name
+        )
+        # Complex copy of the sine modes: the mixed-dtype matmul would
+        # cast the mode matrix on every application anyway, and the
+        # cast is exact, so hoist it out of the loop.
+        self._modes = self.propagator.modes.astype(self._cdtype)
         self.points = self.grid.points
         self.spacing = self.grid.spacing
         # float64 eigenvalues for the phase table regardless of mode;
@@ -178,10 +159,6 @@ class EvolutionEngine:
         # stores a rounded float32 copy).
         if real_name == "float64":
             energies64 = np.asarray(self.propagator.energies)
-        elif boundary == "periodic":
-            energies64 = PeriodicKineticPropagator(
-                self.grid_points, self.grid.spacing
-            ).energies
         else:
             energies64 = laplacian_eigensystem(
                 self.grid_points, self.grid.spacing
@@ -401,16 +378,10 @@ class EvolutionEngine:
         np.cos(pot_buf, out=half_re)
         np.sin(pot_buf, out=half_im)
         np.multiply(psi, half, out=work)
-        if self._modes is not None:
-            np.matmul(work, self._modes, out=work2)
-            np.multiply(work2, self._ktable[step], out=work2)
-            np.matmul(work2, self._modes, out=work)
-            np.multiply(work, half, out=psi)
-        else:
-            spectrum = np.fft.fft(work, axis=-1)
-            np.multiply(spectrum, self._ktable[step], out=spectrum)
-            back = np.fft.ifft(spectrum, axis=-1)
-            np.multiply(back, half, out=psi)
+        np.matmul(work, self._modes, out=work2)
+        np.multiply(work2, self._ktable[step], out=work2)
+        np.matmul(work2, self._modes, out=work)
+        np.multiply(work, half, out=psi)
 
     @hot_path
     def _normalize(self) -> None:

@@ -83,9 +83,6 @@ class QhdSolver(QuboSolver):
     normalize_every:
         Renormalise the wavefunctions every this many steps to control
         floating-point drift (Strang steps are unitary up to rounding).
-    boundary:
-        ``"dirichlet"`` (default) uses hard walls and sine-basis matmuls;
-        ``"periodic"`` uses the FFT pseudospectral propagator.
     dtype:
         Evolution precision: ``"complex128"`` (default; seeded runs are
         bit-identical to the pre-engine loop) or ``"complex64"`` (half
@@ -119,7 +116,6 @@ class QhdSolver(QuboSolver):
         shots: int = 4,
         refine_sweeps: int | None = None,
         normalize_every: int = 10,
-        boundary: str = "dirichlet",
         record_trace: bool = False,
         dtype: str = "complex128",
         time_limit: float | None = float("inf"),
@@ -146,12 +142,6 @@ class QhdSolver(QuboSolver):
         self.normalize_every = check_integer(
             normalize_every, "normalize_every", minimum=1
         )
-        if boundary not in ("dirichlet", "periodic"):
-            raise SolverError(
-                f"boundary must be 'dirichlet' or 'periodic', "
-                f"got {boundary!r}"
-            )
-        self.boundary = boundary
         self.record_trace = bool(record_trace)
         try:
             self.dtype = check_complex_dtype(dtype)
@@ -219,7 +209,6 @@ class QhdSolver(QuboSolver):
             grid_points=self.grid_points,
             n_steps=self.n_steps,
             t_final=self.t_final,
-            boundary=self.boundary,
             normalize_every=self.normalize_every,
             energy_scale=energy_scale,
             dtype=self.dtype,
@@ -306,10 +295,7 @@ class QhdSolver(QuboSolver):
         """
         shape = (self.n_samples, n_variables, len(points))
         psi = np.empty(shape, dtype=dtype)
-        if self.boundary == "periodic":
-            psi[0] = 1.0  # uniform state: the periodic kinetic ground state
-        else:
-            psi[0] = np.sin(np.pi * points / (points[-1] + spacing))
+        psi[0] = np.sin(np.pi * points / (points[-1] + spacing))
 
         if self.n_samples > 1:
             centers = rng.uniform(

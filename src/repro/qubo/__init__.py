@@ -35,14 +35,7 @@ from repro.qubo.random_instances import (
     random_qubo,
 )
 from repro.qubo.streaming import CommunityQuboPatcher
-from repro.qubo.analysis import qubo_density, qubo_statistics
-from repro.qubo.transformations import (
-    IsingModel,
-    bits_to_spins,
-    ising_to_qubo,
-    qubo_to_ising,
-    spins_to_bits,
-)
+from repro.qubo.analysis import qubo_density
 
 
 __all__ = [
@@ -67,10 +60,4 @@ __all__ = [
     "QuboInstance",
     "random_qubo",
     "qubo_density",
-    "qubo_statistics",
-    "IsingModel",
-    "qubo_to_ising",
-    "ising_to_qubo",
-    "spins_to_bits",
-    "bits_to_spins",
 ]

@@ -1,14 +1,13 @@
-"""Descriptive statistics of QUBO instances.
+"""Density of QUBO instances.
 
 The paper stratifies its portfolio results by instance size and sparsity
 (§V-B: mean density 0.157 for optimally solved vs 0.028 for time-limited
-instances); these helpers compute the matching statistics for generated
-instances so EXPERIMENTS.md can report paper-vs-reproduction side by side.
+instances); :func:`qubo_density` computes the matching statistic for
+generated instances, which the Figure 3/4 portfolio rows report next to
+the paper's numbers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,55 +30,3 @@ def qubo_density(model: BaseQubo) -> float:
         return model.density()
     nonzero = int(np.count_nonzero(model.coupling))
     return nonzero / (n * (n - 1))
-
-
-@dataclass(frozen=True)
-class QuboStatistics:
-    """Summary statistics of a single QUBO model."""
-
-    n_variables: int
-    density: float
-    coupling_scale: float
-    linear_scale: float
-    diagonal_dominance: float
-
-    def as_row(self) -> dict[str, float]:
-        """Flatten to a dict for tabular reporting."""
-        return {
-            "variables": self.n_variables,
-            "density": self.density,
-            "coupling_scale": self.coupling_scale,
-            "linear_scale": self.linear_scale,
-            "diag_dominance": self.diagonal_dominance,
-        }
-
-
-def qubo_statistics(model: BaseQubo) -> QuboStatistics:
-    """Compute :class:`QuboStatistics` for ``model``.
-
-    All statistics are computed on the *explicitly stored* coupling
-    matrix; a sparse model's factor terms are consistently excluded,
-    matching :func:`qubo_density`.
-    """
-    linear = model.effective_linear
-    if isinstance(model, SparseQuboModel):
-        nonzero = model.coupling.data
-    else:
-        coupling = model.coupling
-        nonzero = coupling[coupling != 0.0]
-    coupling_scale = float(np.abs(nonzero).mean()) if nonzero.size else 0.0
-    linear_scale = float(np.abs(linear).mean()) if linear.size else 0.0
-    row_coupling = np.asarray(
-        np.abs(model.coupling).sum(axis=1)
-    ).ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(
-            row_coupling > 0, np.abs(linear) / row_coupling, 0.0
-        )
-    return QuboStatistics(
-        n_variables=model.n_variables,
-        density=qubo_density(model),
-        coupling_scale=coupling_scale,
-        linear_scale=linear_scale,
-        diagonal_dominance=float(ratios.mean()) if ratios.size else 0.0,
-    )

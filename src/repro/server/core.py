@@ -42,7 +42,9 @@ the requests it fails answer ``503`` with ``Retry-After`` (tallied in
 
 Error mapping: ``404`` unknown path, ``405`` wrong method, ``411``
 missing ``Content-Length``, ``413`` oversized body, ``400`` invalid
-JSON, ``422`` well-formed JSON that is not a valid request
+JSON, a negative or non-integer ``Content-Length``, or a body shorter
+than its ``Content-Length`` (never parsed), ``422`` well-formed JSON
+that is not a valid request
 (:class:`repro.server.wire.WireError` or a library
 :class:`repro.exceptions.ReproError`), ``429`` queue full, ``503``
 draining or a dead worker, ``500`` anything unexpected (tallied in
@@ -180,6 +182,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(raw_length)
         except ValueError:
+            length = -1
+        if length < 0:
+            server._tally("errors")
             self._send_error_json(
                 400, f"invalid Content-Length {raw_length!r}"
             )
@@ -201,7 +206,16 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         try:
-            self._run_job(route, self.rfile.read(length))
+            body = self.rfile.read(length)
+            if len(body) < length:
+                server._tally("errors")
+                self._send_error_json(
+                    400,
+                    f"truncated request body: got {len(body)} of "
+                    f"{length} bytes",
+                )
+                return
+            self._run_job(route, body)
         finally:
             server._release()
 

@@ -4,7 +4,7 @@ The branch-and-bound solver is this reproduction's substitute for GUROBI:
 an exact solver with a wall-clock time limit that reports ``OPTIMAL`` when
 the search tree is exhausted and ``TIME_LIMIT`` with the best incumbent
 otherwise — the two statuses the paper's evaluation methodology keys on
-(§V-B).
+(§V-B).  An optional node cap stops it with ``ITERATION_LIMIT`` instead.
 """
 
 from repro.solvers.base import (

@@ -43,7 +43,9 @@ class BranchAndBoundSolver(QuboSolver):
     time_limit:
         Wall-clock budget in seconds (``float('inf')`` for unlimited).
     max_nodes:
-        Optional cap on explored nodes (safety valve for tests).
+        Optional cap on explored nodes, so a budget can be counted in
+        work rather than seconds.  A search it stops reports
+        ``ITERATION_LIMIT``; one the deadline stops, ``TIME_LIMIT``.
     tolerance:
         Pruning slack: nodes whose bound is within ``tolerance`` of the
         incumbent are pruned, so returned "optimal" energies are optimal up
@@ -136,9 +138,7 @@ class BranchAndBoundSolver(QuboSolver):
             sys.setrecursionlimit(old_limit)
         watch.stop()
 
-        status = (
-            SolverStatus.OPTIMAL if completed else SolverStatus.TIME_LIMIT
-        )
+        status = state.stopped or SolverStatus.OPTIMAL
         return SolveResult(
             x=state.incumbent_x,
             energy=state.incumbent_energy,
@@ -185,7 +185,8 @@ class _SearchState:
         self.incumbent_x = incumbent_x
         self.incumbent_energy = incumbent_energy
         self.nodes = 0
-        self.aborted = False
+        #: Why the search stopped early (``None`` while it may finish).
+        self.stopped: SolverStatus | None = None
 
     # ------------------------------------------------------------------
     def lower_bound(self, acc: float) -> float:
@@ -232,10 +233,10 @@ class _SearchState:
         self.nodes += 1
         if self.nodes % BranchAndBoundSolver._TIME_CHECK_INTERVAL == 0:
             if self.budget.exhausted():
-                self.aborted = True
+                self.stopped = SolverStatus.TIME_LIMIT
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
-            self.aborted = True
-        if self.aborted:
+            self.stopped = SolverStatus.ITERATION_LIMIT
+        if self.stopped is not None:
             return False
 
         var = self._next_variable()
@@ -262,7 +263,7 @@ class _SearchState:
             finally:
                 assignment[var] = 0
                 self._unfix(var, value)
-            if self.aborted:
+            if self.stopped is not None:
                 completed = False
                 break
         return completed

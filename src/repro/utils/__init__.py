@@ -1,6 +1,6 @@
 """Shared utilities: seeded RNG handling, timing, validation helpers."""
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch, TimeBudget
 from repro.utils.validation import (
     check_integer,
@@ -11,7 +11,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "ensure_rng",
-    "spawn_rngs",
     "Stopwatch",
     "TimeBudget",
     "check_integer",

@@ -41,25 +41,6 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     )
 
 
-def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from one seed.
-
-    Independent child streams are produced via ``Generator.spawn`` so that
-    parallel restarts or repeated trials never share a stream.
-
-    Parameters
-    ----------
-    seed:
-        Parent seed in any form accepted by :func:`ensure_rng`.
-    count:
-        Number of child generators; must be non-negative.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = ensure_rng(seed)
-    return list(parent.spawn(count))
-
-
 def derive_seed(seed: SeedLike, stream: int) -> Optional[int]:
     """Derive a deterministic integer sub-seed for a named stream.
 

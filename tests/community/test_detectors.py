@@ -37,7 +37,7 @@ class TestDirectQuboDetector:
     def test_recovers_cliques_with_bnb(self):
         graph, truth = ring_of_cliques(3, 5)
         result = DirectQuboDetector(
-            BranchAndBoundSolver(time_limit=5.0)
+            BranchAndBoundSolver(max_nodes=20_000)
         ).detect(graph, 3)
         assert normalized_mutual_information(result.labels, truth) == 1.0
 
@@ -89,7 +89,7 @@ class TestMultilevelDetector:
     def test_small_graph_degenerates_to_direct(self, clique_ring):
         graph, truth = clique_ring
         detector = MultilevelDetector(
-            BranchAndBoundSolver(time_limit=5.0),
+            BranchAndBoundSolver(max_nodes=20_000),
             config=MultilevelConfig(threshold=100),
         )
         result = detector.detect(graph, 4)

@@ -1,71 +1,11 @@
-"""Tests for Girvan-Newman and adaptive penalty detection."""
+"""Tests for adaptive penalty detection."""
 
-import numpy as np
 import pytest
 
 from repro.community.adaptive import AdaptivePenaltyDetector
-from repro.community.girvan_newman import (
-    edge_betweenness,
-    girvan_newman,
-)
 from repro.community.metrics import normalized_mutual_information
-from repro.community.modularity import modularity
 from repro.graphs.generators import planted_partition_graph, ring_of_cliques
-from repro.graphs.graph import Graph
 from repro.solvers.simulated_annealing import SimulatedAnnealingSolver
-
-
-class TestEdgeBetweenness:
-    def test_bridge_has_highest_betweenness(self, tiny_graph):
-        active = {(u, v) for u, v, _ in tiny_graph.edges()}
-        betweenness = edge_betweenness(tiny_graph, active)
-        assert max(betweenness, key=betweenness.get) == (2, 3)
-
-    def test_path_graph_values(self):
-        # Path 0-1-2: middle edges carry shortest paths between all pairs.
-        g = Graph(3, [(0, 1), (1, 2)])
-        active = {(0, 1), (1, 2)}
-        betweenness = edge_betweenness(g, active)
-        # Each edge lies on paths (0,1),(0,2) resp (1,2),(0,2); counted
-        # from both endpoints' BFS trees: 2 * 2 = 4.
-        assert betweenness[(0, 1)] == betweenness[(1, 2)] == 4.0
-
-    def test_symmetric_graph_uniform(self):
-        # A 4-cycle: all edges equivalent by symmetry.
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        active = {(u, v) for u, v, _ in g.edges()}
-        values = list(edge_betweenness(g, active).values())
-        assert np.allclose(values, values[0])
-
-
-class TestGirvanNewman:
-    def test_recovers_two_triangles(self, tiny_graph):
-        labels = girvan_newman(tiny_graph)
-        truth = np.array([0, 0, 0, 1, 1, 1])
-        assert normalized_mutual_information(labels, truth) == 1.0
-
-    def test_recovers_ring_of_cliques(self):
-        graph, truth = ring_of_cliques(3, 5)
-        labels = girvan_newman(graph)
-        assert normalized_mutual_information(labels, truth) == 1.0
-
-    def test_max_communities_stop(self, tiny_graph):
-        labels = girvan_newman(tiny_graph, max_communities=2)
-        assert int(labels.max()) + 1 <= 3
-
-    def test_quality_reported_is_best_seen(self):
-        graph, truth = ring_of_cliques(3, 4)
-        labels = girvan_newman(graph)
-        # GN's best split is at least as good as the planted one here.
-        assert modularity(graph, labels) >= modularity(graph, truth) - 1e-9
-
-    def test_edgeless_graph(self):
-        labels = girvan_newman(Graph(4))
-        assert len(set(labels.tolist())) == 4
-
-    def test_max_removals_zero(self, tiny_graph):
-        labels = girvan_newman(tiny_graph, max_removals=0)
-        assert int(labels.max()) == 0  # nothing removed, one component
 
 
 class TestAdaptivePenaltyDetector:

@@ -1,14 +1,9 @@
-"""Tests for modularity (Eq. 1) and gains."""
+"""Tests for modularity (Eq. 1) and community degree sums."""
 
 import numpy as np
 import pytest
 
-from repro.community.modularity import (
-    community_degree_sums,
-    modularity,
-    modularity_gain_matrix,
-    node_to_community_weights,
-)
+from repro.community.modularity import community_degree_sums, modularity
 from repro.exceptions import PartitionError
 from repro.graphs.generators import planted_partition_graph, ring_of_cliques
 from repro.graphs.graph import Graph
@@ -123,44 +118,3 @@ class TestCommunityDegreeSums:
         graph, truth = planted_graph
         sums = community_degree_sums(graph, truth)
         assert np.isclose(sums.sum(), 2.0 * graph.total_weight)
-
-
-class TestNodeToCommunityWeights:
-    def test_values(self, tiny_graph):
-        labels = np.array([0, 0, 0, 1, 1, 1])
-        weights = node_to_community_weights(tiny_graph, 2, labels, 2)
-        np.testing.assert_allclose(weights, [2.0, 1.0])
-
-    def test_self_loop_excluded(self):
-        g = Graph(2, [(0, 0, 5.0), (0, 1, 1.0)])
-        weights = node_to_community_weights(
-            g, 0, np.array([0, 1]), 2
-        )
-        np.testing.assert_allclose(weights, [0.0, 1.0])
-
-
-class TestModularityGainMatrix:
-    def test_gain_matches_recomputation(self):
-        graph, truth = planted_partition_graph(3, 8, 0.6, 0.1, seed=3)
-        labels = truth.copy()
-        gains = modularity_gain_matrix(graph, labels, 3)
-        base = modularity(graph, labels)
-        for node in range(graph.n_nodes):
-            for target in range(3):
-                moved = labels.copy()
-                moved[node] = target
-                expected = modularity(graph, moved) - base
-                assert np.isclose(
-                    gains[node, target], expected, atol=1e-12
-                )
-
-    def test_current_community_zero(self, tiny_graph):
-        labels = np.array([0, 0, 0, 1, 1, 1])
-        gains = modularity_gain_matrix(tiny_graph, labels, 2)
-        for node in range(6):
-            assert gains[node, labels[node]] == 0.0
-
-    def test_ground_truth_is_local_optimum(self):
-        graph, truth = ring_of_cliques(4, 5)
-        gains = modularity_gain_matrix(graph, truth, 4)
-        assert gains.max() <= 1e-12

@@ -1,17 +1,14 @@
-"""Tests for local-moving refinement and the classical baselines."""
+"""Tests for local-moving refinement and the Louvain baseline."""
 
 import numpy as np
 import pytest
 
-from repro.community.label_propagation import label_propagation
 from repro.community.louvain import louvain
 from repro.community.modularity import modularity
 from repro.community.refinement import refine_labels
-from repro.community.spectral import spectral_communities
 from repro.community.metrics import normalized_mutual_information
 from repro.exceptions import PartitionError
 from repro.graphs.generators import (
-    erdos_renyi_graph,
     planted_partition_graph,
     ring_of_cliques,
 )
@@ -120,49 +117,3 @@ class TestLouvain:
     def test_deterministic(self):
         graph, _ = planted_partition_graph(3, 15, 0.4, 0.05, seed=7)
         np.testing.assert_array_equal(louvain(graph), louvain(graph))
-
-
-class TestLabelPropagation:
-    def test_recovers_cliques(self):
-        graph, truth = ring_of_cliques(4, 8)
-        labels = label_propagation(graph, seed=0)
-        assert normalized_mutual_information(labels, truth) > 0.8
-
-    def test_reproducible(self):
-        graph, _ = planted_partition_graph(3, 15, 0.5, 0.02, seed=8)
-        a = label_propagation(graph, seed=4)
-        b = label_propagation(graph, seed=4)
-        np.testing.assert_array_equal(a, b)
-
-    def test_isolated_nodes_keep_labels(self):
-        labels = label_propagation(Graph(4), seed=0)
-        assert len(set(labels.tolist())) == 4
-
-    def test_empty_graph(self):
-        assert len(label_propagation(Graph(0), seed=0)) == 0
-
-
-class TestSpectral:
-    def test_recovers_cliques(self):
-        graph, truth = ring_of_cliques(3, 8)
-        labels = spectral_communities(graph, 3, seed=0)
-        assert normalized_mutual_information(labels, truth) > 0.9
-
-    def test_k_respected(self):
-        graph, _ = planted_partition_graph(4, 15, 0.5, 0.02, seed=9)
-        labels = spectral_communities(graph, 4, seed=1)
-        assert len(set(labels.tolist())) <= 4
-
-    def test_k_one(self, tiny_graph):
-        labels = spectral_communities(tiny_graph, 1, seed=0)
-        assert set(labels.tolist()) == {0}
-
-    def test_more_communities_than_nodes(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        labels = spectral_communities(g, 5, seed=0)
-        assert len(labels) == 3
-
-    def test_random_graph_runs(self):
-        graph = erdos_renyi_graph(40, 0.15, seed=10)
-        labels = spectral_communities(graph, 3, seed=2)
-        assert len(labels) == 40

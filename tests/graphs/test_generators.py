@@ -8,7 +8,6 @@ from repro.graphs.generators import (
     erdos_renyi_graph,
     planted_partition_graph,
     power_law_cluster_graph,
-    random_regular_community_graph,
     ring_of_cliques,
     stochastic_block_model_graph,
 )
@@ -145,26 +144,3 @@ class TestRingOfCliques:
         a, _ = ring_of_cliques(3, 4)
         b, _ = ring_of_cliques(3, 4)
         assert a == b
-
-
-class TestRandomRegularCommunity:
-    def test_shape(self):
-        graph, labels = random_regular_community_graph(3, 10, 4, 5, seed=0)
-        assert graph.n_nodes == 30
-        assert len(np.unique(labels)) == 3
-
-    def test_each_community_connected(self):
-        graph, labels = random_regular_community_graph(2, 8, 3, 0, seed=1)
-        # With zero bridges there are exactly 2 components (the rings).
-        assert len(graph.connected_components()) == 2
-
-    def test_rejects_degree_too_large(self):
-        with pytest.raises(GraphError):
-            random_regular_community_graph(2, 5, 5, 1)
-
-    def test_bridges_cross_communities(self):
-        graph, labels = random_regular_community_graph(3, 8, 3, 6, seed=2)
-        inter = sum(
-            1 for u, v, _ in graph.edges() if labels[u] != labels[v]
-        )
-        assert inter == 6

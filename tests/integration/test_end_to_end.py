@@ -59,7 +59,7 @@ class TestFullPipelines:
         solvers = [
             QhdSolver(n_samples=8, n_steps=60, grid_points=12, seed=0),
             SimulatedAnnealingSolver(n_sweeps=200, n_restarts=3, seed=0),
-            BranchAndBoundSolver(time_limit=10.0),
+            BranchAndBoundSolver(max_nodes=20_000),
         ]
         for solver in solvers:
             result = DirectQuboDetector(solver).detect(graph, 3)
@@ -101,7 +101,7 @@ class TestFullPipelines:
         assert loaded.n_edges == graph.n_edges
         assert np.isclose(loaded.total_weight, graph.total_weight)
         result = DirectQuboDetector(
-            BranchAndBoundSolver(time_limit=10.0)
+            BranchAndBoundSolver(max_nodes=20_000)
         ).detect(loaded, 3)
         assert np.isclose(
             result.modularity, modularity(graph, truth), atol=1e-9

@@ -5,10 +5,9 @@ below as a literal reference implementation (per-step schedule calls,
 ``position_expectations`` + ``sample_positions`` double density passes,
 ``strang_step`` allocations, sequential ``shots`` measurement loop) and
 the engine-driven solver must reproduce it **bit-for-bit** in complex128
-— dense and sparse models, Dirichlet and periodic boundaries, with and
-without tracing.  The ``complex64`` mode is quality-gated by tolerance
-instead, and the new knobs round-trip through the registry/config
-machinery like every other knob.
+— dense and sparse models, with and without tracing.  The ``complex64``
+mode is quality-gated by tolerance instead, and the new knobs round-trip
+through the registry/config machinery like every other knob.
 """
 
 import numpy as np
@@ -22,10 +21,6 @@ from repro.hamiltonian.observables import (
     normalize,
     position_expectations,
     sample_positions,
-)
-from repro.hamiltonian.periodic import (
-    PeriodicGrid,
-    PeriodicKineticPropagator,
 )
 from repro.hamiltonian.propagator import KineticPropagator, strang_step
 from repro.qhd.engine import EvolutionEngine
@@ -44,16 +39,10 @@ def reference_qhd_run(solver: QhdSolver, model):
     """
     rng = ensure_rng(solver._seed)
     n = model.n_variables
-    if solver.boundary == "periodic":
-        grid = PeriodicGrid(solver.grid_points)
-        points = grid.points
-        spacing = grid.spacing
-        propagator = PeriodicKineticPropagator(solver.grid_points, spacing)
-    else:
-        grid = PositionGrid(solver.grid_points)
-        points = grid.points
-        spacing = grid.spacing
-        propagator = KineticPropagator(solver.grid_points, spacing)
+    grid = PositionGrid(solver.grid_points)
+    points = grid.points
+    spacing = grid.spacing
+    propagator = KineticPropagator(solver.grid_points, spacing)
     energy_scale = solver._energy_scale(model)
 
     psi = solver._initial_wavepackets(rng, n, points, spacing)
@@ -162,25 +151,14 @@ class TestBitExactEquivalence:
     def test_dense_dirichlet(self, dense_model, seed):
         assert_bit_exact({"seed": seed}, dense_model)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_dense_periodic(self, dense_model, seed):
-        assert_bit_exact(
-            {"seed": seed, "boundary": "periodic"}, dense_model
-        )
-
     def test_sparse_dirichlet(self, sparse_model):
         assert_bit_exact({}, sparse_model)
-
-    def test_sparse_periodic(self, sparse_model):
-        assert_bit_exact({"boundary": "periodic"}, sparse_model)
 
     def test_dense_with_trace(self, dense_model):
         assert_bit_exact({"record_trace": True}, dense_model)
 
-    def test_sparse_with_trace_periodic(self, sparse_model):
-        assert_bit_exact(
-            {"record_trace": True, "boundary": "periodic"}, sparse_model
-        )
+    def test_sparse_with_trace(self, sparse_model):
+        assert_bit_exact({"record_trace": True}, sparse_model)
 
     def test_zero_shots(self, dense_model):
         assert_bit_exact({"shots": 0}, dense_model)
@@ -219,17 +197,6 @@ class TestComplex64Mode:
         half = make_solver(seed=9, dtype="complex64").solve(dense_model)
         scale = max(1.0, abs(full.energy))
         assert half.energy <= full.energy + 0.05 * scale
-
-    def test_periodic_complex64(self, dense_model):
-        full = make_solver(seed=3, boundary="periodic").solve_detailed(
-            dense_model
-        )
-        half = make_solver(
-            seed=3, boundary="periodic", dtype="complex64"
-        ).solve_detailed(dense_model)
-        np.testing.assert_allclose(
-            half.mean_positions, full.mean_positions, atol=5e-3
-        )
 
     def test_workers_deterministic_in_complex64(self, dense_model):
         """Concurrent batch workers reproduce the single seeded run."""
@@ -313,3 +280,5 @@ class TestConfigRoundTrips:
             QhdSolver(dtype="float64")
         with pytest.raises(ConfigError, match="n_workers"):
             SOLVERS.create("qhd", n_workers=2)
+        with pytest.raises(ConfigError, match="boundary"):
+            SOLVERS.create("qhd", boundary="periodic")

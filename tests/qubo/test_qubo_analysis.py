@@ -1,10 +1,9 @@
-"""Tests for QUBO statistics."""
+"""Tests for the QUBO density statistic."""
 
 import numpy as np
 
-from repro.qubo.analysis import qubo_density, qubo_statistics
+from repro.qubo.analysis import qubo_density
 from repro.qubo.model import QuboModel
-from repro.qubo.random_instances import random_qubo
 
 
 class TestQuboDensity:
@@ -23,29 +22,3 @@ class TestQuboDensity:
         q = np.zeros((3, 3))
         q[0, 1] = 1.0  # becomes (0,1) and (1,0) after symmetrisation
         assert np.isclose(qubo_density(QuboModel(q)), 2 / 6)
-
-
-class TestQuboStatistics:
-    def test_fields(self):
-        m = random_qubo(30, 0.2, seed=0)
-        stats = qubo_statistics(m)
-        assert stats.n_variables == 30
-        assert 0.0 < stats.density < 1.0
-        assert stats.coupling_scale > 0
-        assert stats.linear_scale > 0
-
-    def test_as_row(self):
-        m = random_qubo(10, 0.5, seed=1)
-        row = qubo_statistics(m).as_row()
-        assert set(row) == {
-            "variables",
-            "density",
-            "coupling_scale",
-            "linear_scale",
-            "diag_dominance",
-        }
-
-    def test_zero_matrix(self):
-        stats = qubo_statistics(QuboModel(np.zeros((3, 3))))
-        assert stats.coupling_scale == 0.0
-        assert stats.linear_scale == 0.0

@@ -18,6 +18,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -69,6 +70,29 @@ def _request(url: str, body: dict | None = None, timeout: float = 60.0):
             )
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read()), dict(error.headers)
+
+
+def _raw_post(server, length: str, body: bytes) -> tuple[int, dict]:
+    """POST ``body`` under a hand-written ``Content-Length``.
+
+    The client half-closes after the body and reads until the server
+    closes, so the handler (and its slot release) has finished.
+    """
+    with socket.create_connection(
+        (server.host, server.port), timeout=30
+    ) as sock:
+        sock.sendall(
+            b"POST /detect HTTP/1.0\r\nContent-Length: "
+            + length.encode()
+            + b"\r\n\r\n"
+            + body
+        )
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
 
 
 @contextlib.contextmanager
@@ -230,6 +254,37 @@ class TestErrorMapping:
                 assert connection.getresponse().status == 413
             finally:
                 connection.close()
+
+    @pytest.mark.parametrize(
+        "length, body, message",
+        [
+            # A body past the 64-byte cap: -1 must not read it to EOF.
+            (
+                "-1",
+                json.dumps(
+                    {
+                        "graph": {"n_nodes": 3, "edges": [[0, 1], [1, 2]]},
+                        "spec": {"solver": "greedy", "n_communities": 2},
+                    }
+                ).encode(),
+                "invalid Content-Length '-1'",
+            ),
+            ("-5", b"{}", "invalid Content-Length '-5'"),
+            ("50", b"{}", "truncated request body: got 2 of 50 bytes"),
+        ],
+        ids=["negative-past-cap", "negative", "truncated"],
+    )
+    def test_negative_or_unmet_length_400(self, length, body, message):
+        with _serving(
+            max_queue=2, executor="thread", max_body_bytes=64
+        ) as server:
+            status, payload = _raw_post(server, length, body)
+            stats = server.stats()["server"]
+        assert status == 400
+        assert payload["error"] == message
+        assert stats["errors"] == 1
+        assert stats["queue_depth"] == 0
+        assert stats["served"] == 0
 
     def test_draining_returns_503(self):
         graph, _ = ring_of_cliques(3, 4)

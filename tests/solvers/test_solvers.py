@@ -145,6 +145,7 @@ class TestBranchAndBound:
         model = random_qubo(40, 0.5, seed=2)
         result = BranchAndBoundSolver(max_nodes=100).solve(model)
         assert result.iterations <= 101
+        assert result.status is SolverStatus.ITERATION_LIMIT
 
     def test_incumbent_never_worse_than_warm_start(self):
         model = random_qubo(60, 0.3, seed=3)

@@ -89,11 +89,7 @@ DOCTEST_MODULES = [
     "repro.community.modularity",
     "repro.community.partition",
     "repro.community.louvain",
-    "repro.community.label_propagation",
-    "repro.community.spectral",
-    "repro.community.girvan_newman",
     "repro.community.metrics",
-    "repro.community.consensus",
     "repro.experiments.reporting",
     "repro.solvers.bruteforce",
     "repro.solvers.portfolio",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
+from repro.utils.rng import derive_seed, ensure_rng
 
 
 class TestEnsureRng:
@@ -36,29 +36,6 @@ class TestEnsureRng:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             ensure_rng(1.5)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            spawn_rngs(0, -1)
-
-    def test_children_are_independent(self):
-        children = spawn_rngs(0, 2)
-        a = children[0].random(100)
-        b = children[1].random(100)
-        assert abs(np.corrcoef(a, b)[0, 1]) < 0.5
-
-    def test_reproducible_from_same_seed(self):
-        a = spawn_rngs(11, 3)[2].random(4)
-        b = spawn_rngs(11, 3)[2].random(4)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestDeriveSeed:
