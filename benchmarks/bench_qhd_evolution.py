@@ -11,9 +11,12 @@ identical seeded runs:
   (``position_expectations`` + ``sample_positions``), per-step kinetic
   re-exponentiation inside ``strang_step`` and ~15 fresh
   ``(samples, n, grid)`` temporaries per step;
-* ``engine`` — whole-run phase tables, ping-pong buffers with in-place
-  ufuncs/``matmul(out=)``, a single density pass per step, in both
-  ``complex128`` (bit-exact vs the baseline) and ``complex64`` modes.
+* ``engine`` — a grid-major ``(grid, samples, n)`` tensor, one fused
+  kinetic operator matmul and a doubling potential phase per step,
+  fixed buffers updated in place, a single density pass per step, in
+  both ``complex128`` (the baseline's dynamics up to rounding; the
+  contract is pinned in ``tests/qhd/test_engine.py``) and
+  ``complex64`` modes.
 
 Besides the usual text report it writes
 ``benchmarks/results/qhd_evolution.json`` and appends the headline

@@ -464,7 +464,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"drained: {counters['served']} served, "
         f"{counters['shed']} shed, "
         f"{counters['timed_out']} timed out, "
-        f"{counters['errors']} errors"
+        f"{counters['errors']} errors, "
+        f"{counters['disconnected']} disconnected"
     )
     return 0
 

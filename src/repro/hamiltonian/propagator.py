@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.hamiltonian.grid import check_real_dtype, laplacian_eigensystem
+from repro.hamiltonian.grid import laplacian_eigensystem
 from repro.utils.validation import check_integer, check_positive
 
 
@@ -30,11 +30,6 @@ class KineticPropagator:
         Interior grid size.
     spacing:
         Grid spacing ``h``.
-    dtype:
-        Real precision of the stored eigensystem: ``float64`` (default)
-        drives complex128 evolution, ``float32`` the complex64 mode
-        (``complex64 @ float32`` matmuls stay in single precision).  The
-        eigensystem is computed in float64 and rounded once.
 
     Notes
     -----
@@ -43,17 +38,14 @@ class KineticPropagator:
     matrix is orthogonal and symmetric, so no transposes are needed.
     """
 
-    def __init__(
-        self, n_points: int, spacing: float, dtype: str = "float64"
-    ) -> None:
+    def __init__(self, n_points: int, spacing: float) -> None:
         check_integer(n_points, "n_points", minimum=2)
         check_positive(spacing, "spacing")
         self.n_points = int(n_points)
         self.spacing = float(spacing)
-        self.dtype = check_real_dtype(dtype, "dtype")
-        energies, modes = laplacian_eigensystem(n_points, spacing)
-        self._energies = energies.astype(self.dtype, copy=False)
-        self._modes = modes.astype(self.dtype, copy=False)
+        self._energies, self._modes = laplacian_eigensystem(
+            n_points, spacing
+        )
 
     @property
     def energies(self) -> np.ndarray:

@@ -1,40 +1,48 @@
-"""Preallocated, zero-allocation QHD evolution engine (paper §IV-A).
+"""Preallocated, grid-major QHD evolution engine (paper §IV-A).
 
 The paper's central scalability claim is that QHD evolution is "matrix
-multiplication operations only"; the constant factor of a CPU
-reproduction is then dominated by everything *around* the matmuls —
-re-exponentiated phase vectors, duplicated ``|psi|^2`` passes and a heap
-of per-step temporaries.  :class:`EvolutionEngine` removes that constant
-factor while reproducing the original loop bit-for-bit in complex128:
+multiplication operations only".  :class:`EvolutionEngine` runs the
+mean-field Strang loop that way on CPU: per step, one complex matmul
+carries the kinetic factor and everything else is a whole-row ufunc.
 
-* **Whole-run precomputation** — the per-step schedule coefficients and
-  the ``(n_steps, grid)`` kinetic phase table ``exp(-i kin_s dt E)`` over
-  the Dirichlet sine-basis eigenvalues are built once up front, so the
-  steady-state loop never calls the schedule or exponentiates the
-  kinetic spectrum again.
-* **Ping-pong workspace buffers** — every ``(samples, n, grid)`` tensor
-  of a Strang step lives in a preallocated buffer updated with in-place
-  ufuncs and ``np.matmul(..., out=...)``; the steady-state loop performs
-  zero per-step heap allocation of grid-sized tensors (the model's
-  ``(samples, n)`` field mat-vec stays model-owned).
+* **Grid-major state** — the ensemble lives in a ``(grid, samples, n)``
+  tensor, so every grid-axis operation (norms, expectations, the
+  measurement CDF, the inverse-CDF draw) works on contiguous
+  ``(samples, n)`` rows.  :meth:`EvolutionEngine.evolve` takes the
+  solver's ``(samples, n, grid)`` wavepackets and transposes them once.
+* **Fused kinetic operator** — the ``(n_steps, grid, grid)`` table
+  ``U_s = M diag(exp(-i kin_s dt E)) M`` over the Dirichlet sine modes
+  ``M`` (symmetric and orthogonal) is built up front, so the kinetic
+  factor of step ``s`` is one ``U_s @ psi`` over ``samples * n``
+  columns.  The table holds ``n_steps * grid**2`` complex entries.
+* **Doubling potential phase** — the half-step kick
+  ``exp(-i pot_s (dt/2) f x_g)`` on the uniform grid ``x_g = (g+1) h``
+  is the ``(g+1)``-th power of its ``g = 0`` row.  :func:`phase_ladder`
+  evaluates one cos/sin per (sample, variable) and fills the other rows
+  by repeated doubling, ``ceil(log2 grid)`` complex multiplies in all.
+* **Buffer discipline** — every grid-sized tensor of a step lives in a
+  preallocated buffer updated with in-place ufuncs and
+  ``np.matmul(..., out=...)``; the steady-state loop allocates no
+  grid-sized temporary (the model's ``(samples, n)`` field mat-vec stays
+  model-owned).
 * **Single-pass observables** — ``|psi|^2`` is computed once per step
   and feeds the position expectations, the inverse-CDF measurement draw
-  *and* the trace; when ``record_trace`` is off the full-batch
-  expectation mat-vec is skipped entirely (only sample 0's expectation
-  row feeds the deterministic mean-field trajectory).
+  *and* the trace; when ``record_trace`` is off only sample 0's
+  expectation row (the deterministic mean-field trajectory) is formed.
 * **Precision mode** — ``dtype="complex64"`` halves memory bandwidth;
-  the grid points, the propagator eigensystem and every workspace buffer
-  drop to single precision (quality is tolerance-tested, not bit-pinned).
+  the grid points, the kinetic table and every workspace buffer drop to
+  single precision (quality is tolerance-tested, not bit-pinned).
 
-Every stage runs on the full ``(samples, n, grid)`` arrays in the
-calling thread; the only parallelism inside a run is BLAS's own, whose
-thread count the owning :class:`repro.api.Session` sets.
+Every stage runs in the calling thread; the only parallelism inside a
+run is BLAS's own, whose thread count the owning
+:class:`repro.api.Session` sets.
 
-Bit-exactness contract: with ``dtype="complex128"`` the engine performs
-the same floating-point operations in the same order as the pre-engine
-inline loop of :class:`repro.qhd.QhdSolver._run`, so seeded trajectories
-are bit-for-bit identical — pinned against a literal copy of the old
-loop in ``tests/qhd/test_engine.py``.
+Equivalence contract, pinned on seeded cases in
+``tests/qhd/test_engine.py``: complex128 runs are bit-exact against a
+frozen copy of this loop, and against the solver's original inline loop
+(per-step ``strang_step``) they give identical samples, energies and
+trace coefficients, with mean positions and trace energies equal to a
+relative ``1e-12``.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ import numpy as np
 from repro.analysis.markers import hot_path
 from repro.exceptions import SimulationError
 from repro.hamiltonian.grid import PositionGrid, laplacian_eigensystem
-from repro.hamiltonian.propagator import KineticPropagator
 from repro.hamiltonian.schedules import Schedule
 from repro.qhd.result import QhdTrace
 from repro.qubo.model import BaseQubo
@@ -69,6 +76,34 @@ def check_complex_dtype(dtype: str, name: str = "dtype") -> str:
             f"{name} must be one of {known}, got {dtype!r}"
         )
     return key
+
+
+@hot_path
+def phase_ladder(theta: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out[g] = exp(i (g + 1) theta)`` for every row ``g``.
+
+    Row 0 takes one cos/sin of ``theta``.  Each doubling round then
+    multiplies rows ``[0, c)`` by row ``c - 1`` into rows ``[c, 2c)``;
+    the last round is partial when ``len(out)`` is not a power of two.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> out = np.empty((3, 1), dtype=np.complex128)
+    >>> phase_ladder(np.array([0.1]), out)
+    >>> np.round(np.angle(out[:, 0]), 12).tolist()
+    [0.1, 0.2, 0.3]
+    """
+    np.cos(theta, out=out[0].real)
+    np.sin(theta, out=out[0].imag)
+    rows = len(out)
+    filled = 1
+    while filled < rows:
+        stop = min(2 * filled, rows)
+        np.multiply(
+            out[: stop - filled], out[filled - 1], out=out[filled:stop]
+        )
+        filled = stop
 
 
 @dataclass(frozen=True)
@@ -95,8 +130,8 @@ class EvolutionEngine:
         Normalisation of the potential landscape
         (:meth:`QhdSolver._energy_scale`).
     dtype:
-        ``"complex128"`` (default, bit-exact vs the pre-engine loop) or
-        ``"complex64"`` (half the memory bandwidth, tolerance quality).
+        ``"complex128"`` (default) or ``"complex64"`` (half the memory
+        bandwidth, single-precision quality).
 
     Examples
     --------
@@ -143,64 +178,44 @@ class EvolutionEngine:
         self.dtype = check_complex_dtype(dtype)
         self._cdtype, self._rdtype = DTYPES[self.dtype]
 
-        real_name = np.dtype(self._rdtype).name
-        self.grid = PositionGrid(self.grid_points, dtype=real_name)
-        self.propagator = KineticPropagator(
-            self.grid_points, self.grid.spacing, dtype=real_name
+        self.grid = PositionGrid(
+            self.grid_points, dtype=np.dtype(self._rdtype).name
         )
-        # Complex copy of the sine modes: the mixed-dtype matmul would
-        # cast the mode matrix on every application anyway, and the
-        # cast is exact, so hoist it out of the loop.
-        self._modes = self.propagator.modes.astype(self._cdtype)
         self.points = self.grid.points
         self.spacing = self.grid.spacing
-        # float64 eigenvalues for the phase table regardless of mode;
-        # only the complex64 engine needs a rebuild (its propagator
-        # stores a rounded float32 copy).
-        if real_name == "float64":
-            energies64 = np.asarray(self.propagator.energies)
-        else:
-            energies64 = laplacian_eigensystem(
-                self.grid_points, self.grid.spacing
-            )[0]
 
         # --- whole-run precomputation -------------------------------
-        # Times, schedule coefficients and the kinetic phase table are
-        # evaluated exactly as the per-step loop did (same scalar
-        # association), so complex128 rows are bit-identical.
+        # Built in float64/complex128 in every mode; complex64 rounds
+        # the finished table once.
         self.dt = self.t_final / self.n_steps
         times = [(step + 0.5) * self.dt for step in range(self.n_steps)]
         self._times = np.asarray(times, dtype=np.float64)
         self._kin, self._pot = schedule.coefficient_tables(times)
-        table = np.empty((self.n_steps, self.grid_points), np.complex128)
-        for step in range(self.n_steps):
-            coef = (-1j * self._kin[step]) * self.dt
-            table[step] = np.exp(coef * energies64)
-        self._ktable = table.astype(self._cdtype, copy=False)
-        # Imaginary parts of the half-step potential coefficients
-        # (-i pot_s dt/2, whose real part is exactly +0.0), evaluated
-        # with the same scalar association as the inline loop.
-        dt_half = self.dt / 2.0
-        self._pot_imag = np.array(
-            [((-1j * p) * dt_half).imag for p in self._pot],
-            dtype=np.float64,
+        energies, modes = laplacian_eigensystem(
+            self.grid_points, self.spacing
         )
+        phases = np.exp(((-1j * self._kin) * self.dt)[:, None] * energies)
+        ops = np.matmul(modes * phases[:, None, :], modes)
+        self._ops = ops.astype(self._cdtype, copy=False)
+        # Kick angle per unit field at x_0 = h: the half-step phase
+        # exp(-i pot_s (dt/2) f x_g) is exp(i (g+1) f angle_s).
+        self._kick_angle = (-self._pot * (self.dt / 2.0)) * self.spacing
 
         # --- workspace buffers --------------------------------------
-        shape = (self.n_samples, model.n_variables, self.grid_points)
-        flat = shape[:2]
+        flat = (self.n_samples, model.n_variables)
+        shape = (self.grid_points,) + flat
         self._dens = np.empty(shape, dtype=self._rdtype)
-        self._pot_buf = np.empty(shape, dtype=self._rdtype)
         self._half = np.empty(shape, dtype=self._cdtype)
         self._work = np.empty(shape, dtype=self._cdtype)
-        self._work2 = np.empty(shape, dtype=self._cdtype)
         self._bool = np.empty(shape, dtype=bool)
-        self._sums = np.empty(flat + (1,), dtype=self._rdtype)
-        self._draws = np.empty(flat + (1,), dtype=np.float64)
+        self._sums = np.empty(flat, dtype=self._rdtype)
+        self._theta = np.empty(flat, dtype=self._rdtype)
+        self._draws = np.empty(flat, dtype=np.float64)
         self._idx = np.empty(flat, dtype=np.int64)
         self._pos = np.empty(flat, dtype=self.points.dtype)
         self._mu = np.empty(flat, dtype=self._rdtype)
-        self._psi: np.ndarray | None = None
+        self._psi = np.empty(shape, dtype=self._cdtype)
+        self._evolved = False
 
     # ------------------------------------------------------------------
     # Public API
@@ -211,9 +226,9 @@ class EvolutionEngine:
         return np.dtype(self._cdtype)
 
     @property
-    def kinetic_phase_table(self) -> np.ndarray:
-        """Precomputed ``(n_steps, grid)`` kinetic phases (read-only)."""
-        view = self._ktable.view()
+    def kinetic_operator_table(self) -> np.ndarray:
+        """Fused ``(n_steps, grid, grid)`` kinetic operators (read-only)."""
+        view = self._ops.view()
         view.flags.writeable = False
         return view
 
@@ -227,18 +242,19 @@ class EvolutionEngine:
         """Run the Strang evolution from ``psi0``; psi stays in-engine.
 
         ``psi0`` must have shape ``(n_samples, n_variables, grid)``; it
-        is adopted as the engine's psi buffer (cast/copied only when the
-        layout requires it) and mutated in place by the evolution.  Call
-        :meth:`measure` afterwards for the final normalised expectations
-        and position draws.
+        is copied once into the engine's grid-major buffer, transposed
+        and cast to the engine's precision, and is not mutated.  Call
+        :meth:`measure` afterwards for the final normalised
+        expectations and position draws.
         """
-        expected = self._dens.shape
-        psi = np.ascontiguousarray(psi0, dtype=self._cdtype)
-        if psi.shape != expected:
+        psi0 = np.asarray(psi0)
+        expected = self._sums.shape + (self.grid_points,)
+        if psi0.shape != expected:
             raise SimulationError(
-                f"psi0 must have shape {expected}, got {psi.shape}"
+                f"psi0 must have shape {expected}, got {psi0.shape}"
             )
-        self._psi = psi
+        np.copyto(self._psi, np.moveaxis(psi0, -1, 0))
+        self._evolved = True
         return self._evolve(rng, budget, record_trace)
 
     def measure(
@@ -249,26 +265,26 @@ class EvolutionEngine:
         Computes the final densities once and derives from that single
         array the per-sample expectations ``mu`` (shape
         ``(n_samples, n)``) and all ``shots`` inverse-CDF position draws
-        (shape ``(shots, n_samples, n)``) — one cumsum reused across
+        (shape ``(shots, n_samples, n)``) — one CDF reused across
         shots, instead of ``shots`` full density recomputations.
         """
-        if self._psi is None:
+        if not self._evolved:
             raise SimulationError("measure() requires evolve() first")
         check_integer(shots, "shots", minimum=0)
         self._normalize()
-        dens, sums = self._dens, self._sums
+        dens = self._dens
         self._density()
         self._check_mass()
-        np.divide(dens, sums, out=dens)
-        mu = dens @ self.points
-        np.cumsum(dens, axis=-1, out=dens)
+        np.divide(dens, self._sums, out=dens)
+        mu = self.points @ dens.reshape(self.grid_points, -1)
+        self._cumulate()
         positions = np.empty(
             (shots,) + self._pos.shape, dtype=self._pos.dtype
         )
         for shot in range(shots):
             rng.random(out=self._draws)
             self._inverse_cdf(positions[shot])
-        return mu, positions
+        return mu.reshape(self._mu.shape), positions
 
     # ------------------------------------------------------------------
     # Evolution loop
@@ -321,19 +337,24 @@ class EvolutionEngine:
         trajectory) and returns the full ``(samples, n)`` expectation
         matrix only when ``full_mu`` (tracing) asks for it.
         """
-        dens, sums = self._dens, self._sums
+        dens = self._dens
         self._density()
         self._check_mass()
-        np.divide(dens, sums, out=dens)
+        np.divide(dens, self._sums, out=dens)
+        mu: np.ndarray | None = None
         if full_mu:
-            mu = np.matmul(dens, self.points, out=self._mu)
+            np.matmul(
+                self.points,
+                dens.reshape(self.grid_points, -1),
+                out=self._mu.reshape(-1),
+            )
+            mu = self._mu
             mu0 = mu[0]
         else:
-            mu = None
-            mu0 = dens[0] @ self.points
-        np.cumsum(dens, axis=-1, out=dens)
-        # One full-batch draw, matching the pre-engine loop's single
-        # rng.random(size=(samples, n, 1)) call.
+            mu0 = self.points @ dens[:, 0, :]
+        self._cumulate()
+        # One full-batch draw per step, in the (samples, n) order of the
+        # pre-engine loop's rng.random(size=(samples, n, 1)) call.
         rng.random(out=self._draws)
         self._inverse_cdf(self._pos)
         self._pos[0] = mu0
@@ -342,46 +363,43 @@ class EvolutionEngine:
     @hot_path
     def _density(self) -> None:
         """``|psi|^2`` and its grid-axis mass."""
-        psi, dens, sums = self._psi, self._dens, self._sums
-        np.absolute(psi, out=dens)
+        dens = self._dens
+        np.absolute(self._psi, out=dens)
         np.square(dens, out=dens)
-        np.sum(dens, axis=-1, keepdims=True, out=sums)
+        np.sum(dens, axis=0, out=self._sums)
 
     def _check_mass(self) -> None:
         if np.any(self._sums <= 0):
             raise SimulationError("cannot normalise zero probability mass")
 
     @hot_path
+    def _cumulate(self) -> None:
+        """In-place CDF along the grid axis, in ``np.cumsum``'s order."""
+        dens = self._dens
+        for g in range(1, self.grid_points):
+            np.add(dens[g - 1], dens[g], out=dens[g])
+
+    @hot_path
     def _inverse_cdf(self, out: np.ndarray) -> None:
         """Inverse-CDF position draw into ``out`` (cdf in ``_dens``)."""
         np.less(self._dens, self._draws, out=self._bool)
-        np.sum(self._bool, axis=-1, out=self._idx)
+        np.sum(self._bool, axis=0, out=self._idx)
         np.clip(self._idx, 0, self.grid_points - 1, out=self._idx)
         np.take(self.points, self._idx, out=out)
 
     @hot_path
     def _strang_step(self, step: int, fields: np.ndarray) -> None:
-        """One in-place Strang split step with precomputed phases."""
-        psi, half, work, work2 = (
-            self._psi, self._half, self._work, self._work2,
-        )
-        points, pot_buf = self.points, self._pot_buf
-        half_re, half_im = half.real, half.imag
-        # The half-step phase exp(coef * V) has a purely imaginary
-        # exponent (coef = -i * pot_s * dt/2 has exact +0.0 real part),
-        # so cexp reduces to cos(theta) + i sin(theta) with
-        # theta = V * Im(coef) — the same cos/sin calls cexp makes
-        # internally (bit-identical), minus the complex bookkeeping.
-        theta_scale = float(self._pot_imag[step])
-        np.multiply(fields[..., None], points, out=pot_buf)
-        np.multiply(pot_buf, theta_scale, out=pot_buf)
-        np.cos(pot_buf, out=half_re)
-        np.sin(pot_buf, out=half_im)
+        """One in-place Strang step: kick, fused kinetic matmul, kick."""
+        psi, half, work = self._psi, self._half, self._work
+        np.multiply(fields, self._kick_angle[step], out=self._theta)
+        phase_ladder(self._theta, half)
         np.multiply(psi, half, out=work)
-        np.matmul(work, self._modes, out=work2)
-        np.multiply(work2, self._ktable[step], out=work2)
-        np.matmul(work2, self._modes, out=work)
-        np.multiply(work, half, out=psi)
+        np.matmul(
+            self._ops[step],
+            work.reshape(self.grid_points, -1),
+            out=psi.reshape(self.grid_points, -1),
+        )
+        np.multiply(psi, half, out=psi)
 
     @hot_path
     def _normalize(self) -> None:

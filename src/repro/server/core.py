@@ -48,7 +48,9 @@ that is not a valid request
 (:class:`repro.server.wire.WireError` or a library
 :class:`repro.exceptions.ReproError`), ``429`` queue full, ``503``
 draining or a dead worker, ``500`` anything unexpected (tallied in
-``errors``).
+``errors``).  A client that resets or closes its connection before
+the reply is written gets no answer and is tallied in
+``disconnected``, with nothing printed.
 """
 
 from __future__ import annotations
@@ -100,6 +102,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: Any) -> None:
         """Silence the stock stderr access log (stats() observes)."""
+
+    def handle(self) -> None:
+        """Serve the connection; tally a vanished client, print nothing.
+
+        A reset or closed socket raises :class:`ConnectionError` from
+        the read or write that meets it (request, body or reply); the
+        stock handler would print a traceback.  An admitted request
+        has already released its slot in :meth:`do_POST`'s ``finally``.
+        """
+        try:
+            super().handle()
+        except ConnectionError:
+            self._repro._tally("disconnected")
 
     def _send_json(
         self,
@@ -328,6 +343,7 @@ class ReproServer:
             "shed": 0,
             "timed_out": 0,
             "errors": 0,
+            "disconnected": 0,
         }
         self._draining = False
         self._closed = False

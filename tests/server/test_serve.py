@@ -19,6 +19,7 @@ import os
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -93,6 +94,21 @@ def _raw_post(server, length: str, body: bytes) -> tuple[int, dict]:
             chunks.append(chunk)
     head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
     return int(head.split()[1]), json.loads(payload)
+
+
+def _reset(sock: socket.socket) -> None:
+    """Close ``sock`` with a TCP reset (``SO_LINGER`` 0), not a FIN."""
+    sock.setsockopt(
+        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+    )
+    sock.close()
+
+
+def _wait_until(condition, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 @contextlib.contextmanager
@@ -285,6 +301,49 @@ class TestErrorMapping:
         assert stats["errors"] == 1
         assert stats["queue_depth"] == 0
         assert stats["served"] == 0
+
+    @pytest.mark.parametrize("stage", ["body", "reply"])
+    def test_client_reset_is_counted_not_printed(self, stage, capfd):
+        """A client that resets mid-body or before the reply is tallied.
+
+        ``body``: the headers promise 100 bytes, one arrives, then the
+        reset.  ``reply``: the whole request arrives, and the client
+        resets while the job runs; the job is sized in sweeps so it is
+        still running when the reset lands.
+        """
+        graph, _ = ring_of_cliques(3, 4)
+        request = {
+            "graph": _graph_payload(graph),
+            "spec": {
+                "solver": "simulated-annealing",
+                "solver_config": {"n_sweeps": 5_000, "n_restarts": 1},
+                "n_communities": 3,
+                "seed": 0,
+            },
+        }
+        if stage == "body":
+            head, body = b"Content-Length: 100\r\n\r\n", b"{"
+        else:
+            body = json.dumps(request).encode()
+            head = f"Content-Length: {len(body)}\r\n\r\n".encode()
+        with _serving(max_queue=2, executor="thread") as server:
+            sock = socket.create_connection(
+                (server.host, server.port), timeout=30
+            )
+            sock.sendall(b"POST /detect HTTP/1.0\r\n" + head + body)
+            _wait_until(lambda: server.stats()["server"]["queue_depth"])
+            _reset(sock)
+            _wait_until(
+                lambda: server.stats()["server"]["disconnected"]
+                and not server.stats()["server"]["queue_depth"]
+            )
+            stats = server.stats()["server"]
+        assert stats["disconnected"] == 1
+        assert stats["queue_depth"] == 0
+        assert stats["errors"] == 0
+        # The reply case ran its job: the reset met the reply write.
+        assert stats["served"] == (stage == "reply")
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_draining_returns_503(self):
         graph, _ = ring_of_cliques(3, 4)
