@@ -6,14 +6,20 @@ the SA/tabu/greedy sweep loops.  On sparse LFR-derived community QUBOs
 it times the two ways of answering "what does flipping bit ``i``
 cost?" over identical flip sequences:
 
-* ``sweep`` mode (the tabu/greedy shape) — ``recompute`` calls one full
-  ``model.flip_deltas(x)`` mat-vec per iteration, O(nnz) each;
-  ``incremental`` reads the maintained O(n) array and applies an
-  O(row nnz) update per flip;
+* ``sweep`` mode (the tabu/greedy shape) — each iteration finds the
+  best single flip, then applies the next flip of the sequence:
+  ``recompute`` takes ``np.argmin(model.flip_deltas(x))``, one full
+  O(nnz) mat-vec each; ``incremental`` is the loop greedy and tabu run,
+  the fused ``state.best_flip()`` argmin over the maintained fields plus
+  ``state.flip(i)``, which rewrites the bit's coupling row and every
+  factor row touching it;
 * ``single`` mode (the SA shape) — ``recompute`` calls
   ``model.flip_delta(x, i)`` per attempt (which pays the factor
   projection every time); ``incremental`` is the O(1) ``state.delta(i)``
-  read plus the O(row nnz) ``state.flip(i)``.
+  read plus ``state.flip(i)``.
+
+The flip sequence is drawn up front, so both sides of a mode do the
+same moves.
 
 Besides the usual text report it writes
 ``benchmarks/results/flip_delta.json`` (next to ``construction.json``)
@@ -59,26 +65,24 @@ def _sparse_instance(n_nodes: int, n_communities: int, seed: int):
 
 
 def _time_sweep_recompute(model, flips, x0) -> float:
-    """Old tabu/greedy shape: fresh flip_deltas mat-vec per iteration."""
+    """Old tabu/greedy shape: fresh flip_deltas mat-vec + argmin."""
     x = x0.copy()
     start = time.perf_counter()
     for var in flips:
-        deltas = model.flip_deltas(x)
+        _ = int(np.argmin(model.flip_deltas(x)))
         x[var] = 1.0 - x[var]
-        _ = float(deltas[var])
     return time.perf_counter() - start
 
 
 def _time_sweep_incremental(model, flips, x0) -> float:
-    """Delta-state tabu/greedy shape: maintained array + row updates."""
+    """Delta-state tabu/greedy shape: fused best_flip + flip."""
     from repro.solvers.base import flip_state
 
     start = time.perf_counter()
     state = flip_state(model, x0.copy())
     for var in flips:
-        deltas = state.deltas()
+        state.best_flip()
         state.flip(int(var))
-        _ = float(deltas[var])
     return time.perf_counter() - start
 
 

@@ -12,12 +12,12 @@ mat-vec: ``model.flip_deltas(x)`` is O(nnz) per call, so a sweep over
 then, on each accepted flip of bit ``i`` with sign ``s = 1 - 2 x_i``,
 applies the exact rank-one update
 
-    h_j  +=  2 s S_ij            for j in row i's nonzeros,
+    h_j  +=  2 s S_ij            for j in row i's nonzeros
 
-so a flip costs O(row nnz) — CSR row slices on
-:class:`repro.qubo.SparseQuboModel`, one dense row on
-:class:`repro.qubo.QuboModel`.  The flip delta of any bit is then the
-O(1) read ``delta_j = (1 - 2 x_j) h_j``.
+— a CSR row slice on :class:`repro.qubo.SparseQuboModel`, one dense
+row on :class:`repro.qubo.QuboModel`.  The state also keeps the flip
+signs ``s = 1 - 2 x`` (exactly ±1), so the flip delta of any bit is the
+O(1) read ``delta_j = s_j h_j``.
 
 Low-rank "squared linear form" factors (the sparse community QUBO's
 modularity null model and penalty terms) fold into the same maintained
@@ -29,7 +29,15 @@ find the factor rows touching the bit and propagates
 row by row into ``h`` — only those rows are visited, no projection of
 the full state is ever recomputed.  (The sum double-counts the zero
 effective self-coupling at ``j = i``; a single ``2 s d_i`` correction
-with the cached factor diagonal cancels it.)
+with the cached factor diagonal cancels it.)  A flip therefore writes
+every entry of each touched factor row: on the sparse community QUBO
+with ``n`` nodes and ``k`` communities, flipping ``(node, c)`` writes
+the null-model and balance rows of ``c`` (``n`` entries each) and the
+node's assignment row (``k``) — ``2n + k`` factor entries next to
+``deg(node)`` coupling entries.  Factor rows whose columns form an
+arithmetic progression (all of them on that QUBO) are updated through a
+strided view of ``h``, any other row through its index array; both
+perform the same per-element adds.
 
 :class:`BatchFlipDeltaState` is the same engine over a ``(batch, n)``
 population, one independent trajectory per row — the shape the QHD
@@ -101,9 +109,14 @@ def _factor_slots(model: BaseQubo) -> tuple | None:
     """Factor arrays for the flip update, or ``None`` without factors.
 
     Returns ``(alpha, row_indptr, row_indices, row_data, col_indptr,
-    col_indices, col_data, diagonal)`` — the CSR rows for propagation,
-    the CSC columns for touched-row lookup, and the cached diagonal for
-    the self-coupling correction.
+    col_indices, col_data, diagonal, row_layout, col_weights)`` — the
+    CSR rows for propagation, the CSC columns for touched-row lookup,
+    the cached diagonal for the self-coupling correction, the model's
+    cached :meth:`~repro.qubo.SparseQuboModel.factor_row_layout`, and
+    ``alpha_t f_ti`` per CSC entry.  The weights are formed here, once
+    per bind, and never cached on the model, because
+    :meth:`~repro.qubo.SparseQuboModel.patch` may replace both
+    ``alpha`` and the factor data.
     """
     factors = _factor_terms_of(model)
     if factors is None:
@@ -118,6 +131,8 @@ def _factor_slots(model: BaseQubo) -> tuple | None:
         f_csc.indices,
         f_csc.data,
         diag,
+        getattr(model, "factor_row_layout")(),
+        alpha[f_csc.indices] * f_csc.data,
     )
 
 
@@ -161,7 +176,47 @@ def _bind_model_slots(state: Any, model: BaseQubo) -> None:
             state._f_col_indices,
             state._f_col_data,
             state._f_diag,
+            state._f_layout,
+            state._f_weights,
         ) = slots
+
+
+@hot_path
+def _flip_factor_rows(
+    state: Any, fields: np.ndarray, index: int, two_s: float
+) -> None:
+    """Propagate the flip of bit ``index`` through the factor rows.
+
+    The one factor kernel of both state classes (``fields`` is the
+    flipped trajectory's field vector; ``two_s`` is ``2 (1 - 2 x_i)``).
+    Each factor row ``t`` touching the bit adds ``two_s alpha_t f_ti
+    f_t`` to ``fields``, row by row in CSC order.  A row whose columns
+    form a progression is updated through a strided view, any other
+    row through its index array — the same per-element adds either
+    way.  The row sums also write ``two_s d_i`` onto the bit's own
+    field; the canonical form has zero effective self-coupling, so the
+    cached diagonal cancels it.
+    """
+    ca = state._f_col_indptr[index]
+    cb = state._f_col_indptr[index + 1]
+    if ca == cb:
+        return
+    plans = state._f_layout[state._f_col_indices[ca:cb]].tolist()
+    weights = (two_s * state._f_weights[ca:cb]).tolist()
+    data = state._f_row_data
+    for (ra, rb, start, stop, step), w in zip(plans, weights):
+        if step:
+            view = fields[start:stop:step]
+            view += w * data[ra:rb]
+        else:
+            fields[state._f_row_indices[ra:rb]] += w * data[ra:rb]
+    fields[index] -= two_s * state._f_diag[index]
+
+
+def _check_binary(values: np.ndarray, name: str) -> None:
+    """Reject assignments with any entry other than 0 or 1."""
+    if not np.all((values == 0.0) | (values == 1.0)):
+        raise QuboError(f"{name} must be binary (every entry 0 or 1)")
 
 
 class FlipDeltaState:
@@ -173,6 +228,7 @@ class FlipDeltaState:
         Dense or sparse :class:`repro.qubo.model.BaseQubo`.
     x:
         Binary starting assignment, length ``n_variables``; copied.
+        Any entry other than 0 or 1 raises :class:`QuboError`.
     refresh_every:
         Optional cadence (accepted flips) at which the state
         re-materialises its fields and energy from the model, bounding
@@ -184,10 +240,11 @@ class FlipDeltaState:
     -----
     Construction performs the single full materialisation of the
     trajectory (one ``local_fields`` mat-vec plus one ``evaluate``);
-    afterwards every accepted flip is O(coupling-row nnz + factor-row
-    nnz).  The maintained fields drift from a fresh recomputation only
-    at floating-point rounding level; :meth:`refresh` resynchronises
-    them exactly when a caller wants to pay the mat-vec (or pass
+    afterwards every accepted flip costs the coupling row's nonzeros
+    plus the full length of every factor row touching the bit.  The
+    maintained fields drift from a fresh recomputation only at
+    floating-point rounding level; :meth:`refresh` resynchronises them
+    exactly when a caller wants to pay the mat-vec (or pass
     ``refresh_every`` to do so on a fixed cadence).
 
     Examples
@@ -216,8 +273,11 @@ class FlipDeltaState:
             raise QuboError(
                 f"x must have shape ({model.n_variables},), got {vec.shape}"
             )
+        _check_binary(vec, "x")
         self._model = model
         self._x = vec
+        # Flip signs 1 - 2x, exactly +-1 for binary x; flip negates one.
+        self._sign = 1.0 - 2.0 * vec
         self._refresh_every = _check_refresh_every(refresh_every)
         self._scratch = np.empty_like(vec)
         self._mask_scratch = np.empty(vec.shape, dtype=bool)
@@ -269,11 +329,11 @@ class FlipDeltaState:
     def delta(self, index: int) -> float:
         """Energy change of flipping bit ``index`` — an O(1) read."""
         i = int(index)
-        return float((1.0 - 2.0 * self._x[i]) * self._fields[i])
+        return float(self._sign[i] * self._fields[i])
 
     def deltas(self) -> np.ndarray:
         """Energy change of flipping each bit (fresh array, O(n))."""
-        return (1.0 - 2.0 * self._x) * self._fields
+        return self._sign * self._fields
 
     @hot_path
     def best_flip(
@@ -304,9 +364,7 @@ class FlipDeltaState:
         (1, -3.0)
         """
         scratch = self._scratch
-        np.multiply(self._x, -2.0, out=scratch)
-        np.add(scratch, 1.0, out=scratch)
-        np.multiply(scratch, self._fields, out=scratch)
+        np.multiply(self._sign, self._fields, out=scratch)
         if where is not None:
             np.logical_not(where, out=self._mask_scratch)
             if self._mask_scratch.all():
@@ -324,13 +382,13 @@ class FlipDeltaState:
     def flip(self, index: int) -> float:
         """Accept the flip of bit ``index``; returns its energy delta.
 
-        Updates the assignment, the running energy and the fields of the
-        flipped bit's coupling-row neighbours (plus the factor rows
-        touching it) in O(row nnz).
+        Updates the assignment, its sign, the running energy and the
+        fields of the flipped bit's coupling-row neighbours plus every
+        entry of the factor rows touching it.
         """
         i = int(index)
         fields = self._fields
-        s = 1.0 - 2.0 * self._x[i]
+        s = float(self._sign[i])
         delta = float(s * fields[i])
 
         if self._dense_rows is not None:
@@ -340,23 +398,10 @@ class FlipDeltaState:
             fields[self._row_indices[a:b]] += (2.0 * s) * self._row_data[a:b]
 
         if self._f_alpha is not None:
-            ca, cb = self._f_col_indptr[i], self._f_col_indptr[i + 1]
-            trows = self._f_col_indices[ca:cb]
-            if trows.size:
-                fvals = self._f_col_data[ca:cb]
-                weights = (2.0 * s) * (self._f_alpha[trows] * fvals)
-                indptr = self._f_row_indptr
-                indices = self._f_row_indices
-                data = self._f_row_data
-                for t, w in zip(trows.tolist(), weights.tolist()):
-                    ra, rb = indptr[t], indptr[t + 1]
-                    fields[indices[ra:rb]] += w * data[ra:rb]
-                # The row updates wrote 2 s d_i onto the flipped bit's own
-                # field; the canonical form has zero effective
-                # self-coupling, so cancel it with the cached diagonal.
-                fields[i] -= (2.0 * s) * self._f_diag[i]
+            _flip_factor_rows(self, fields, i, 2.0 * s)
 
         self._x[i] = 1.0 - self._x[i]
+        self._sign[i] = -s
         self._energy += delta
         self._n_flips += 1
         if (
@@ -457,9 +502,9 @@ class BatchFlipDeltaState:
     assignments, one trajectory per row — the state behind the
     vectorised 1-opt descent that polishes QHD measurement samples.
     Dense models update all flipped rows with one fancy-indexed gather
-    of coupling rows; sparse models update each flipped row in
-    O(row nnz + factor-row nnz) exactly like the single-trajectory
-    state.
+    of coupling rows; sparse models update each flipped row through
+    the same coupling-row and factor-row kernel as the
+    single-trajectory state.
 
     Parameters
     ----------
@@ -467,6 +512,7 @@ class BatchFlipDeltaState:
         Dense or sparse :class:`repro.qubo.model.BaseQubo`.
     xs:
         Binary assignments, shape ``(batch, n_variables)``; copied.
+        Any entry other than 0 or 1 raises :class:`QuboError`.
     refresh_every:
         Optional cadence, counted in accepted **flip rounds** (calls to
         :meth:`flip`, each of which flips at most one bit per
@@ -506,6 +552,7 @@ class BatchFlipDeltaState:
                 f"xs must have shape (batch, {model.n_variables}), "
                 f"got {batch.shape}"
             )
+        _check_binary(batch, "xs")
         self._model = model
         self._x = batch
         self._refresh_every = _check_refresh_every(refresh_every)
@@ -597,21 +644,8 @@ class BatchFlipDeltaState:
                 self._fields[r, indices[a:b]] += (2.0 * s) * data[a:b]
 
         if self._f_alpha is not None:
-            f_indptr = self._f_row_indptr
-            f_indices = self._f_row_indices
-            f_data = self._f_row_data
             for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
-                ca, cb = self._f_col_indptr[c], self._f_col_indptr[c + 1]
-                trows = self._f_col_indices[ca:cb]
-                if not trows.size:
-                    continue
-                fvals = self._f_col_data[ca:cb]
-                weights = (2.0 * s) * (self._f_alpha[trows] * fvals)
-                row_fields = self._fields[r]
-                for t, w in zip(trows.tolist(), weights.tolist()):
-                    ra, rb = f_indptr[t], f_indptr[t + 1]
-                    row_fields[f_indices[ra:rb]] += w * f_data[ra:rb]
-                row_fields[c] -= (2.0 * s) * self._f_diag[c]
+                _flip_factor_rows(self, self._fields[r], c, 2.0 * s)
 
         self._x[rows, cols] = 1.0 - self._x[rows, cols]
         self._energies[rows] += deltas

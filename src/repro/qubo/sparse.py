@@ -35,6 +35,34 @@ from repro.exceptions import QuboError
 from repro.qubo.model import BaseQubo, QuboModel
 
 
+def _row_progressions(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``(ra, rb, start, stop, step)`` per CSR row; ``step`` 0 = no slice.
+
+    A row qualifies when its stored column indices, in storage order,
+    increase by one constant step; a single entry is the step-1 slice
+    ``i:i+1``.  Vectorised over all rows at once.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    cols = np.asarray(indices, dtype=np.int64)
+    n_rows = indptr.shape[0] - 1
+    ra, rb = indptr[:-1], indptr[1:]
+    counts = rb - ra
+    filled = counts > 0
+    start = np.zeros(n_rows, dtype=np.int64)
+    start[filled] = cols[ra[filled]]
+    step = filled.astype(np.int64)
+    multi = counts > 1
+    step[multi] = cols[ra[multi] + 1] - cols[ra[multi]]
+    # Every consecutive pair inside a row must repeat the row's step.
+    row_of = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
+    same_row = row_of[:-1] == row_of[1:]
+    broken = row_of[:-1][same_row & (np.diff(cols) != step[row_of[:-1]])]
+    step[broken] = 0
+    step[step < 0] = 0
+    stop = np.where(step > 0, start + (counts - 1) * step + 1, start)
+    return np.stack([ra, rb, start, stop, step], axis=1)
+
+
 class SparseQuboModel(BaseQubo):
     """Minimisation QUBO with a sparse symmetric coupling matrix.
 
@@ -107,6 +135,7 @@ class SparseQuboModel(BaseQubo):
         self._factor_matrix = None
         self._factor_matrix_t = None
         self._factor_matrix_csc = None
+        self._factor_row_layout: np.ndarray | None = None
         self._factor_coefficients = None
         self._factor_diagonal = None
         if factors is not None:
@@ -228,6 +257,33 @@ class SparseQuboModel(BaseQubo):
             self._factor_matrix_csc,
             self._factor_diagonal,
         )
+
+    def factor_row_layout(self) -> np.ndarray | None:
+        """Per-factor-row slice plan for incremental flip engines.
+
+        Returns ``None`` when the model has no factors, else an int64
+        array of shape ``(T, 5)`` whose row ``t`` is ``(ra, rb, start,
+        stop, step)``: ``ra:rb`` is the row's span of the CSR
+        ``indices``/``data``, and when those column indices form an
+        increasing arithmetic progression, ``start:stop:step`` is the
+        same set of columns as a slice.  ``step`` is 0 for every other
+        row (including empty ones), which must then be addressed
+        through its index array.  Every row
+        :func:`repro.qubo.builders.build_community_qubo` emits is a
+        progression: null-model and balance rows step by ``k``,
+        assignment rows by 1.
+
+        The layout depends on the sparsity structure only, so it is
+        built lazily once and shared by :meth:`patch`, which never
+        changes that structure.
+        """
+        if self._factor_matrix is None:
+            return None
+        if self._factor_row_layout is None:
+            self._factor_row_layout = _row_progressions(
+                self._factor_matrix.indptr, self._factor_matrix.indices
+            )
+        return self._factor_row_layout
 
     def _factor_quadratic(self, vec: np.ndarray) -> float:
         """Factor contribution to ``x^T C x`` for one assignment."""
@@ -361,7 +417,9 @@ class SparseQuboModel(BaseQubo):
         carry the folded diagonal and factor parts; ``factor_data``
         replaces the factor matrix's data over its *unchanged* sparsity
         structure (the transposed copy is rebuilt deterministically,
-        the cached CSC stays lazy).
+        the cached CSC stays lazy, and the cached
+        :meth:`factor_row_layout` — a function of the structure alone —
+        is shared).
 
         :class:`repro.qubo.streaming.CommunityQuboPatcher` computes
         these arrays from an edge-event batch so that the patched model
@@ -399,6 +457,7 @@ class SparseQuboModel(BaseQubo):
         model._factor_matrix = self._factor_matrix
         model._factor_matrix_t = self._factor_matrix_t
         model._factor_matrix_csc = self._factor_matrix_csc
+        model._factor_row_layout = self._factor_row_layout
         model._factor_coefficients = self._factor_coefficients
         model._factor_diagonal = self._factor_diagonal
         touched_factors = (

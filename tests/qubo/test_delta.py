@@ -6,6 +6,13 @@ recomputation at the final assignment — on the dense backend, the
 explicit-coupling sparse backend, and the factor-backed sparse backend
 (where factor-row updates fold directly into the maintained fields,
 never a full reprojection).
+
+``FrozenFlipState`` / ``FrozenBatchFlipState`` below are frozen copies
+of the flip and best-flip arithmetic from before factor rows were
+updated through strided views and the flip signs were maintained: every
+factor row goes through ``fields[indices] += w * data`` and every
+argmin rebuilds ``1 - 2x``.  ``TestFrozenKernelContract`` pins the
+current engine to them bit for bit.
 """
 
 import numpy as np
@@ -57,6 +64,168 @@ MODEL_FACTORIES = [
     pytest.param(_factor_model, id="sparse-factors"),
     pytest.param(_random_factor_model, id="random-factors"),
 ]
+
+#: Columns of each factor row of ``_mixed_factor_model`` over n = 24,
+#: with the slice step the row layout must record (0 = index array).
+#: The last row repeats the second's columns, as the community QUBO's
+#: null-model and balance rows do, so adding the two rows' updates in
+#: one pass would change the rounding.
+MIXED_ROWS = [
+    ([0, 1, 2, 3, 4, 5, 6, 7], 1),
+    ([2, 5, 8, 11, 14, 17, 20, 23], 3),
+    ([1, 2, 4, 8, 16], 0),
+    ([], 0),
+    ([9], 1),
+    ([3, 10], 7),
+    ([0, 4, 8, 12, 16, 20], 4),
+    ([5, 6, 9, 10, 13, 14], 0),
+    ([2, 5, 8, 11, 14, 17, 20, 23], 3),
+]
+
+
+def _mixed_factor_model(seed, n=24):
+    """Factor rows that mix slices, index arrays and short rows."""
+    rng = np.random.default_rng(seed)
+    rows = [t for t, (cols, _) in enumerate(MIXED_ROWS) for _ in cols]
+    cols = [c for cols, _ in MIXED_ROWS for c in cols]
+    f_mat = sparse.csr_matrix(
+        (rng.normal(size=len(cols)), (rows, cols)),
+        shape=(len(MIXED_ROWS), n),
+    )
+    t = len(MIXED_ROWS)
+    return SparseQuboModel(
+        sparse.random(n, n, density=0.15, random_state=rng, format="csr"),
+        rng.normal(size=n),
+        factors=(rng.normal(size=t), f_mat, rng.normal(size=t)),
+    )
+
+
+FACTOR_FACTORIES = [
+    pytest.param(_factor_model, id="sparse-factors"),
+    pytest.param(_random_factor_model, id="random-factors"),
+    pytest.param(_mixed_factor_model, id="mixed-factors"),
+]
+
+
+class FrozenFlipState:
+    """``FlipDeltaState.flip`` / ``best_flip`` before strided factor rows.
+
+    Frozen copy: the fields, energy and assignment start from the same
+    model calls as the engine, and every flip replays the old
+    arithmetic — ``1 - 2x`` rebuilt per call, ``alpha[trows] * fvals``
+    formed per flip, every factor row scattered through its indices.
+    """
+
+    def __init__(self, model, x):
+        self.x = np.array(x, dtype=np.float64)
+        self.fields = np.asarray(
+            model.local_fields(self.x), dtype=np.float64
+        ).copy()
+        self.energy = float(model.evaluate(self.x))
+        self._wire(model)
+
+    def _wire(self, model):
+        coupling = model.coupling
+        if sparse.issparse(coupling):
+            csr = coupling.tocsr()
+            self.dense_rows = None
+            self.row_indptr, self.row_indices, self.row_data = (
+                csr.indptr, csr.indices, csr.data,
+            )
+        else:
+            self.dense_rows = np.asarray(coupling, dtype=np.float64)
+        getter = getattr(model, "factor_terms", None)
+        factors = None if getter is None else getter()
+        self.f_alpha = None
+        if factors is not None:
+            self.f_alpha, f_csr, f_csc, self.f_diag = factors
+            self.f_row_indptr = f_csr.indptr
+            self.f_row_indices = f_csr.indices
+            self.f_row_data = f_csr.data
+            self.f_col_indptr = f_csc.indptr
+            self.f_col_indices = f_csc.indices
+            self.f_col_data = f_csc.data
+
+    def best_flip(self, where=None):
+        scratch = np.empty_like(self.x)
+        np.multiply(self.x, -2.0, out=scratch)
+        np.add(scratch, 1.0, out=scratch)
+        np.multiply(scratch, self.fields, out=scratch)
+        if where is not None:
+            scratch[np.logical_not(where)] = np.inf
+        index = int(np.argmin(scratch))
+        return index, float(scratch[index])
+
+    def flip(self, index):
+        i = int(index)
+        fields = self.fields
+        s = 1.0 - 2.0 * self.x[i]
+        delta = float(s * fields[i])
+        if self.dense_rows is not None:
+            fields += (2.0 * s) * self.dense_rows[i]
+        else:
+            a, b = self.row_indptr[i], self.row_indptr[i + 1]
+            fields[self.row_indices[a:b]] += (2.0 * s) * self.row_data[a:b]
+        if self.f_alpha is not None:
+            ca, cb = self.f_col_indptr[i], self.f_col_indptr[i + 1]
+            trows = self.f_col_indices[ca:cb]
+            if trows.size:
+                fvals = self.f_col_data[ca:cb]
+                weights = (2.0 * s) * (self.f_alpha[trows] * fvals)
+                indptr = self.f_row_indptr
+                indices = self.f_row_indices
+                data = self.f_row_data
+                for t, w in zip(trows.tolist(), weights.tolist()):
+                    ra, rb = indptr[t], indptr[t + 1]
+                    fields[indices[ra:rb]] += w * data[ra:rb]
+                fields[i] -= (2.0 * s) * self.f_diag[i]
+        self.x[i] = 1.0 - self.x[i]
+        self.energy += delta
+        return delta
+
+
+class FrozenBatchFlipState(FrozenFlipState):
+    """``BatchFlipDeltaState.flip`` before strided factor rows."""
+
+    def __init__(self, model, xs):
+        self.x = np.array(xs, dtype=np.float64)
+        self.fields = np.asarray(
+            model.local_fields_batch(self.x), dtype=np.float64
+        ).copy()
+        self.energies = np.asarray(
+            model.evaluate_batch(self.x), dtype=np.float64
+        ).copy()
+        self._wire(model)
+
+    def flip(self, rows, cols):
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        signs = 1.0 - 2.0 * self.x[rows, cols]
+        deltas = signs * self.fields[rows, cols]
+        indptr = self.row_indptr
+        indices = self.row_indices
+        data = self.row_data
+        for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
+            a, b = indptr[c], indptr[c + 1]
+            self.fields[r, indices[a:b]] += (2.0 * s) * data[a:b]
+        f_indptr = self.f_row_indptr
+        f_indices = self.f_row_indices
+        f_data = self.f_row_data
+        for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
+            ca, cb = self.f_col_indptr[c], self.f_col_indptr[c + 1]
+            trows = self.f_col_indices[ca:cb]
+            if not trows.size:
+                continue
+            fvals = self.f_col_data[ca:cb]
+            weights = (2.0 * s) * (self.f_alpha[trows] * fvals)
+            row_fields = self.fields[r]
+            for t, w in zip(trows.tolist(), weights.tolist()):
+                ra, rb = f_indptr[t], f_indptr[t + 1]
+                row_fields[f_indices[ra:rb]] += w * f_data[ra:rb]
+            row_fields[c] -= (2.0 * s) * self.f_diag[c]
+        self.x[rows, cols] = 1.0 - self.x[rows, cols]
+        self.energies[rows] += deltas
+        return deltas
 
 
 class TestFlipDeltaState:
@@ -623,3 +792,173 @@ class TestRepatch:
         np.testing.assert_allclose(
             state.deltas(), reference.deltas(), rtol=1e-12, atol=1e-12
         )
+
+
+class TestFrozenKernelContract:
+    """Bit-exact against ``FrozenFlipState`` / ``FrozenBatchFlipState``.
+
+    Strided factor rows, the per-bind ``alpha_t f_ti`` weights and the
+    maintained flip signs must reproduce the frozen arithmetic exactly:
+    fields, assignment and energy after every flip, and the
+    ``(index, delta)`` of every best flip, masked or not.
+    """
+
+    @pytest.mark.parametrize(
+        "factory",
+        MODEL_FACTORIES
+        + [pytest.param(_mixed_factor_model, id="mixed-factors")],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_flip_and_best_flip_match_frozen(self, factory, seed):
+        model = factory(seed)
+        rng = np.random.default_rng(700 + seed)
+        n = model.n_variables
+        x0 = (rng.random(n) < 0.5).astype(np.float64)
+        state = FlipDeltaState(model, x0)
+        frozen = FrozenFlipState(model, x0)
+        for step in range(120):
+            allowed = rng.random(n) < 0.5
+            allowed[int(rng.integers(n))] = True
+            best = frozen.best_flip()
+            assert state.best_flip() == best
+            assert state.best_flip(where=allowed) == frozen.best_flip(
+                where=allowed
+            )
+            # Alternate descent moves with random ones.
+            index = best[0] if step % 2 else int(rng.integers(n))
+            assert state.flip(index) == frozen.flip(index)
+            np.testing.assert_array_equal(state._fields, frozen.fields)
+            np.testing.assert_array_equal(state.x, frozen.x)
+            assert state.energy == frozen.energy
+
+    @pytest.mark.parametrize("factory", FACTOR_FACTORIES)
+    def test_batch_flip_matches_frozen(self, factory):
+        model = factory(4)
+        rng = np.random.default_rng(704)
+        n = model.n_variables
+        xs = (rng.random((6, n)) < 0.5).astype(np.float64)
+        state = BatchFlipDeltaState(model, xs)
+        frozen = FrozenBatchFlipState(model, xs)
+        for _ in range(60):
+            size = int(rng.integers(1, 7))
+            rows = rng.choice(6, size=size, replace=False)
+            cols = rng.integers(0, n, size=size)
+            np.testing.assert_array_equal(
+                state.flip(rows, cols), frozen.flip(rows, cols)
+            )
+            np.testing.assert_array_equal(state._fields, frozen.fields)
+            np.testing.assert_array_equal(state.x, frozen.x)
+            np.testing.assert_array_equal(state.energies, frozen.energies)
+
+    def test_mixed_rows_take_both_update_paths(self):
+        layout = _mixed_factor_model(0).factor_row_layout()
+        assert layout[:, 4].tolist() == [step for _, step in MIXED_ROWS]
+        for (cols, step), (ra, rb, start, stop, _) in zip(
+            MIXED_ROWS, layout.tolist()
+        ):
+            assert rb - ra == len(cols)
+            if step:
+                assert list(range(start, stop, step)) == cols
+
+    def test_community_rows_are_all_slices(self):
+        """Null-model and balance rows step by k, assignment rows by 1."""
+        model = _factor_model(0)  # k = 3
+        assert set(model.factor_row_layout()[:, 4].tolist()) == {1, 3}
+
+    def test_layout_rejects_storage_that_is_not_increasing(self):
+        from repro.qubo.sparse import _row_progressions
+
+        indptr = np.array([0, 3, 5, 6, 6, 9])
+        indices = np.array([5, 3, 1, 2, 2, 4, 1, 3, 5])
+        assert _row_progressions(indptr, indices).tolist() == [
+            [0, 3, 5, 5, 0],  # decreasing progression
+            [3, 5, 2, 2, 0],  # repeated column
+            [5, 6, 4, 5, 1],  # single entry: the slice 4:5
+            [6, 6, 0, 0, 0],  # empty row
+            [6, 9, 1, 6, 2],
+        ]
+
+    def test_layout_cached_and_shared_by_patch(self):
+        model = _factor_model(1)
+        layout = model.factor_row_layout()
+        assert model.factor_row_layout() is layout
+        alpha = model.factor_terms()[0]
+        patched = model.patch(factor_coefficients=alpha * 2.0)
+        assert patched.factor_row_layout() is layout
+        assert _sparse_model(0).factor_row_layout() is None
+
+
+class TestBinaryAssignments:
+    """Both states reject assignments with entries other than 0 and 1."""
+
+    def test_single_state_rejects_non_binary(self):
+        model = QuboModel([[0, 2], [0, 0]], [-1, -1])
+        for bad in ([0.5, 3.0], [np.nan, 0.0], [2.0, 0.0]):
+            with pytest.raises(QuboError, match="binary"):
+                FlipDeltaState(model, bad)
+        FlipDeltaState(model, np.array([1, 0], dtype=np.int8))
+
+    def test_batch_state_rejects_non_binary(self):
+        model = QuboModel([[0, 2], [0, 0]], [-1, -1])
+        for bad in ([[0.5, 2.0]], [[0.0, 1.0], [np.nan, 1.0]]):
+            with pytest.raises(QuboError, match="binary"):
+                BatchFlipDeltaState(model, bad)
+        BatchFlipDeltaState(model, [[1, 0], [0, 1]])
+
+
+class TestFlipsAfterFactorRepatch:
+    """Flips on a state repatched onto new factor data and coefficients.
+
+    ``SparseQuboModel.patch`` shares every array it is not handed, so
+    anything a state derives from the factors at bind time must be
+    rebuilt by ``repatch`` — the stream flips on exactly such states.
+    """
+
+    @staticmethod
+    def _factor_patch(model):
+        alpha, f_csr, _, _ = model.factor_terms()
+        data = f_csr.data * 1.5 - 0.25
+        coefficients = alpha * 0.75 + 0.125
+        squared = sparse.csr_matrix(
+            (data * data, f_csr.indices, f_csr.indptr), shape=f_csr.shape
+        )
+        return model.patch(
+            factor_data=data,
+            factor_coefficients=coefficients,
+            factor_diagonal=np.asarray(squared.T @ coefficients).ravel(),
+        )
+
+    @pytest.mark.parametrize("factory", FACTOR_FACTORIES)
+    def test_single_state_flips_match_fresh_state(self, factory):
+        model = factory(5)
+        rng = np.random.default_rng(705)
+        n = model.n_variables
+        state = FlipDeltaState(
+            model, (rng.random(n) < 0.5).astype(np.float64)
+        )
+        for _ in range(20):
+            state.flip(int(rng.integers(n)))
+        patched = self._factor_patch(model)
+        state.repatch(patched)
+        fresh = FlipDeltaState(patched, state.x)
+        for index in rng.integers(0, n, size=50).tolist():
+            assert state.flip(index) == fresh.flip(index)
+        np.testing.assert_array_equal(state._fields, fresh._fields)
+        assert state.energy == fresh.energy
+
+    @pytest.mark.parametrize("factory", FACTOR_FACTORIES)
+    def test_batch_state_flips_match_fresh_state(self, factory):
+        model = factory(6)
+        rng = np.random.default_rng(706)
+        n = model.n_variables
+        xs = (rng.random((3, n)) < 0.5).astype(np.float64)
+        state = BatchFlipDeltaState(model, xs)
+        patched = self._factor_patch(model)
+        state.repatch(patched)
+        fresh = BatchFlipDeltaState(patched, xs)
+        for _ in range(50):
+            cols = rng.integers(0, n, size=3)
+            state.flip(np.arange(3), cols)
+            fresh.flip(np.arange(3), cols)
+        np.testing.assert_array_equal(state._fields, fresh._fields)
+        np.testing.assert_array_equal(state.energies, fresh.energies)
