@@ -20,11 +20,17 @@ carries the kinetic factor and everything else is a whole-row ufunc.
   is the ``(g+1)``-th power of its ``g = 0`` row.  :func:`phase_ladder`
   evaluates one cos/sin per (sample, variable) and fills the other rows
   by repeated doubling, ``ceil(log2 grid)`` complex multiplies in all.
+* **Kronecker fields** — when the model records the Kronecker form
+  ``S = M ⊗ I_k + a I_n ⊗ (J_k - I_k)`` of its coupling (the dense
+  community QUBO, :meth:`repro.qubo.QuboModel.kronecker_terms`), each
+  step's mean-field fields are one ``(n, n) @ (n, k)`` matmul per
+  sample and one ``(samples * n, k) @ (k, k)`` matmul, written into
+  preallocated buffers.  Any other model supplies them through
+  ``local_fields_batch``, a ``(samples, n)`` mat-vec it owns.
 * **Buffer discipline** — every grid-sized tensor of a step lives in a
   preallocated buffer updated with in-place ufuncs and
   ``np.matmul(..., out=...)``; the steady-state loop allocates no
-  grid-sized temporary (the model's ``(samples, n)`` field mat-vec stays
-  model-owned).
+  grid-sized temporary.
 * **Single-pass observables** — ``|psi|^2`` is computed once per step
   and feeds the position expectations, the inverse-CDF measurement draw
   *and* the trace; when ``record_trace`` is off only sample 0's
@@ -40,9 +46,10 @@ run is BLAS's own, whose thread count the owning
 Equivalence contract, pinned on seeded cases in
 ``tests/qhd/test_engine.py``: complex128 runs are bit-exact against a
 frozen copy of this loop, and against the solver's original inline loop
-(per-step ``strang_step``) they give identical samples, energies and
-trace coefficients, with mean positions and trace energies equal to a
-relative ``1e-12``.
+(per-step ``strang_step``, the model's dense field mat-vec) they give
+identical samples, energies and trace coefficients, with mean positions
+and trace energies equal to a relative ``1e-12`` — on random QUBOs and
+on sparse and dense community QUBOs.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from repro.exceptions import SimulationError
 from repro.hamiltonian.grid import PositionGrid, laplacian_eigensystem
 from repro.hamiltonian.schedules import Schedule
 from repro.qhd.result import QhdTrace
-from repro.qubo.model import BaseQubo
+from repro.qubo.model import BaseQubo, QuboModel
 from repro.utils.timer import TimeBudget
 from repro.utils.validation import check_integer, check_positive
 
@@ -215,6 +222,20 @@ class EvolutionEngine:
         self._pos = np.empty(flat, dtype=self.points.dtype)
         self._mu = np.empty(flat, dtype=self._rdtype)
         self._psi = np.empty(shape, dtype=self._cdtype)
+        # Block-structured coupling (the dense community QUBO): the
+        # fields come from its two Kronecker factors, applied to the
+        # positions viewed as (samples, n, k).
+        terms = (
+            model.kronecker_terms() if isinstance(model, QuboModel) else None
+        )
+        self._blocked = terms is not None
+        if terms is not None:
+            n_nodes, k, self._m_block, pair = terms
+            self._pair_block = pair * (np.ones((k, k)) - np.eye(k))
+            self._groups = (self.n_samples, n_nodes, k)
+            self._fields = np.empty(flat, dtype=np.float64)
+            self._pair_fields = np.empty(flat, dtype=np.float64)
+            self._linear = np.asarray(model.effective_linear)
         self._evolved = False
 
     # ------------------------------------------------------------------
@@ -302,9 +323,13 @@ class EvolutionEngine:
             if budget is not None and budget.exhausted():
                 break
             mu = self._observe(rng, full_mu=record_trace)
-            fields = np.asarray(
-                self._model.local_fields_batch(self._pos), dtype=np.float64
-            )
+            if self._blocked:
+                fields = self._block_fields()
+            else:
+                fields = np.asarray(
+                    self._model.local_fields_batch(self._pos),
+                    dtype=np.float64,
+                )
             np.divide(fields, self.energy_scale, out=fields)
             self._strang_step(step, fields)
             if (step + 1) % self.normalize_every == 0:
@@ -359,6 +384,35 @@ class EvolutionEngine:
         self._inverse_cdf(self._pos)
         self._pos[0] = mu0
         return mu
+
+    @hot_path
+    def _block_fields(self) -> np.ndarray:
+        """Mean-field fields ``2 pos S + c`` from the coupling's factors.
+
+        With ``S = M ⊗ I_k + I_n ⊗ A``, ``A = a (J_k - I_k)``, and each
+        sample's positions viewed as an ``(n, k)`` matrix ``P``,
+        ``pos S`` is ``M @ P + P @ A``: one stacked
+        ``(n, n) @ (n, k)`` matmul per sample and one
+        ``(samples * n, k) @ (k, k)`` matmul, in place of the
+        ``(samples, nk) @ (nk, nk)`` mat-vec.  The sums run in a
+        different order, so the fields differ from
+        ``local_fields_batch`` in the last bits.  (In complex64 mode
+        the float32 positions are cast up for the float64 matmuls.)
+        """
+        fields, pair = self._fields, self._pair_fields
+        k = self._groups[2]
+        np.matmul(
+            self._m_block,
+            self._pos.reshape(self._groups),
+            out=fields.reshape(self._groups),
+        )
+        np.matmul(
+            self._pos.reshape(-1, k), self._pair_block, out=pair.reshape(-1, k)
+        )
+        np.add(fields, pair, out=fields)
+        np.multiply(fields, 2.0, out=fields)
+        np.add(fields, self._linear, out=fields)
+        return fields
 
     @hot_path
     def _density(self) -> None:

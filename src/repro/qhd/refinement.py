@@ -10,9 +10,10 @@ consumes the incremental :class:`~repro.qubo.delta.BatchFlipDeltaState`
 engine (via :func:`repro.solvers.greedy.local_search_batch`): fields are
 materialised once for the whole candidate population, each sweep's move
 comes from the fused ``best_flips`` argmin over the maintained fields
-(no per-sweep ``(batch, n)`` delta copy), and each accepted flip is an
-O(row nnz) update — refinement never pays a full batch mat-vec per sweep
-on sparse community QUBOs.
+and flip signs, and each accepted flip is an O(row nnz) update.  A
+candidate that stops improving leaves the working set, so a sweep's
+argmin, row gather and field add run only over the candidates still
+descending — refinement never pays a full batch mat-vec per sweep.
 """
 
 from __future__ import annotations

@@ -22,7 +22,14 @@ Assembly is fully vectorized and emits one of two backends behind the
 shared :class:`repro.qubo.model.BaseQubo` interface:
 
 * ``backend="dense"`` — a :class:`QuboModel` holding the full ``(nk, nk)``
-  matrix; coefficients are identical to a naive per-entry construction.
+  coupling, written directly in canonical form (symmetric, zero
+  diagonal) through its ``(n, k, n, k)`` view: the same ``(n, n)``
+  block ``M`` in every community and ``lambda_A`` between a node's
+  communities.  The model records that Kronecker form,
+  ``S = M ⊗ I_k + lambda_A I_n ⊗ (J_k - I_k)``
+  (:meth:`QuboModel.kronecker_terms`), for the QHD engine's
+  mean-field fields.  Coefficients are byte-identical to assembling
+  the raw per-term matrix and canonicalising it.
 * ``backend="sparse"`` — a :class:`SparseQuboModel` whose explicit
   couplings are only the adjacency/cut terms (COO triplets) while the
   modularity null model and the Eq. 3/4 penalties are stored as low-rank
@@ -274,52 +281,75 @@ def _build_dense(
     modularity_weight: float,
     cut_weight: float,
 ) -> QuboModel:
-    """Dense Algorithm 1 assembly — vectorized, coefficient-identical to a
-    naive per-entry construction."""
+    """Dense Algorithm 1 assembly, written straight into canonical form.
+
+    The coupling is one zeroed ``(nk, nk)`` array filled through its
+    ``(n, k, n, k)`` view: the same ``(n, n)`` block ``M`` (modularity
+    plus balance) in every community, ``lambda_A`` on each node's
+    ``(k, k)`` block, a zero diagonal.  The raw diagonal is replayed
+    term by term and folded into the linear vector.  Every coefficient
+    is byte-identical to assembling the raw Algorithm 1 matrix and
+    canonicalising it through ``QuboModel(quadratic, linear, offset)``,
+    without that path's two ``(nk, nk)`` temporaries.  The model records
+    its :meth:`~repro.qubo.QuboModel.kronecker_terms`.
+    """
     n, k = vmap.n_nodes, vmap.n_communities
     nk = vmap.n_variables
-    quadratic = np.zeros((nk, nk), dtype=np.float64)
+    coupling = np.zeros((nk, nk), dtype=np.float64)
+    blocks = coupling.reshape(n, k, n, k)
     linear = np.zeros(nk, dtype=np.float64)
+    # The raw Q diagonal, accumulated in the order the per-term writes
+    # of the raw matrix produce it; it folds into the linear term.
+    diagonal = np.zeros((n, k), dtype=np.float64)
     offset = 0.0
 
-    # --- Modularity term (Eq. 2), minimisation sign: -w1 * Q_M ----------
+    # --- Same-community block: -w1 B / 2m (Eq. 2) + lambda_S (Eq. 4) ---
+    # Variable (i, c) couples to (j, c) only; i == j is the diagonal.
+    block: np.ndarray | None = None
     two_m = 2.0 * graph.total_weight
     if two_m > 0 and modularity_weight > 0:
         b_matrix = graph.modularity_matrix() / two_m
-        scaled = -modularity_weight * b_matrix
-        # Block-diagonal placement over communities: variable (i, c) couples
-        # to (j, c) only.  i == j lands on the QUBO diagonal (linear).
-        for c in range(k):
-            idx = np.arange(c, nk, k)
-            quadratic[np.ix_(idx, idx)] += scaled
+        block = -modularity_weight * b_matrix
+        diagonal += np.diag(block)[:, None]
 
     # --- Assignment constraint (Eq. 3): lambda_A * (1 - sum_c x_ic)^2 ---
     # Expansion with x^2 = x:
     #   1 - sum_c x_ic + 2 sum_{c<c'} x_ic x_ic'
-    # Adding lambda_A to *both* ordered off-diagonal pairs is equivalent to
-    # 2*lambda_A on unordered pairs after symmetrisation.  All n node
-    # blocks are written in one scatter on the (n, k, n, k) view.
+    # so lambda_A sits on both ordered pairs (i c, i c'), c != c'.
     if lambda_assignment > 0:
-        blocks = quadratic.reshape(n, k, n, k)
         node_idx = np.arange(n)
-        blocks[node_idx, :, node_idx, :] += lambda_assignment
-        diag = np.arange(nk)
-        quadratic[diag, diag] -= lambda_assignment
+        blocks[node_idx, :, node_idx, :] = lambda_assignment
+        # The raw diagonal takes +lambda then -lambda per term: not a
+        # no-op in floating point, so it is replayed.
+        diagonal += lambda_assignment
+        diagonal -= lambda_assignment
         linear -= lambda_assignment
         offset += n * lambda_assignment
 
     # --- Balance constraint (Eq. 4): lambda_S * (sum_i x_ic - n/k)^2 ----
     if lambda_balance > 0:
         target = n / k
-        for c in range(k):
-            idx = np.arange(c, nk, k)
-            linear[idx] += lambda_balance * (1.0 - 2.0 * target)
-            block = np.ix_(idx, idx)
-            quadratic[block] += lambda_balance
-            quadratic[idx, idx] -= lambda_balance
+        linear += lambda_balance * (1.0 - 2.0 * target)
+        if block is None:
+            block = np.full((n, n), lambda_balance)
+        else:
+            block = block + lambda_balance
+        diagonal += lambda_balance
+        diagonal -= lambda_balance
+        for _ in range(k):  # one term per community, in the raw order
             offset += lambda_balance * target * target
 
+    if block is not None:
+        # Added onto zeros, not assigned, so a -0.0 entry of B lands as
+        # +0.0 exactly as in the raw build.
+        for c in range(k):
+            blocks[:, c, :, c] += block
+    diagonal = diagonal.reshape(nk)
+    coupling.reshape(-1)[:: nk + 1] = 0.0
+
     # --- Optional cut reward (Algorithm 1, line 16) ----------------------
+    # -2 w3 w_uv on the upper entry (u c, v c) alone, symmetrised on
+    # just those entries to 0.5 * (q_uv + q_vu).
     if cut_weight > 0:
         edge_u, edge_v, edge_w = graph.edge_arrays()
         off = edge_u != edge_v
@@ -329,10 +359,27 @@ def _build_dense(
             iv = (edge_v[off, None] * k + communities).ravel()
             values = np.repeat(-2.0 * cut_weight * edge_w[off], k)
             # Canonical edges have u < v, so iu < iv and all pairs are
-            # distinct: a plain fancy-index add suffices.
-            quadratic[iu, iv] += values
+            # distinct: plain fancy-index writes suffice.
+            base = coupling[iu, iv]
+            symmetrised = 0.5 * ((base + values) + base)
+            coupling[iu, iv] = symmetrised
+            coupling[iv, iu] = symmetrised
 
-    return QuboModel(quadratic, linear, offset)
+    effective_linear = linear + diagonal
+    m_block = blocks[:, 0, :, 0].copy()
+    m_block.flags.writeable = False
+    pair = float(coupling[0, 1]) if k > 1 else 0.0
+    # Every coupling entry is an entry of M, the pair constant or zero.
+    if not (
+        np.all(np.isfinite(m_block))
+        and np.isfinite(pair)
+        and np.all(np.isfinite(effective_linear))
+        and np.isfinite(offset)
+    ):
+        raise QuboError("community QUBO coefficients must be finite")
+    return QuboModel._canonical(
+        coupling, effective_linear, offset, kronecker=(n, k, m_block, pair)
+    )
 
 
 def _build_sparse(

@@ -42,7 +42,9 @@ perform the same per-element adds.
 :class:`BatchFlipDeltaState` is the same engine over a ``(batch, n)``
 population, one independent trajectory per row — the shape the QHD
 refinement pass (:func:`repro.solvers.greedy.local_search_batch`)
-descends on.
+descends on.  Its :meth:`~BatchFlipDeltaState.descend` keeps only the
+still-improving trajectories in the working set, compacted to a prefix
+of the rows, so late sweeps touch the few rows still descending.
 
 Two conveniences round the engine off: the fused argmins
 (:meth:`FlipDeltaState.best_flip` / :meth:`BatchFlipDeltaState.best_flips`)
@@ -500,11 +502,14 @@ class BatchFlipDeltaState:
 
     Maintains fields of shape ``(batch, n)`` for a population of
     assignments, one trajectory per row — the state behind the
-    vectorised 1-opt descent that polishes QHD measurement samples.
-    Dense models update all flipped rows with one fancy-indexed gather
-    of coupling rows; sparse models update each flipped row through
-    the same coupling-row and factor-row kernel as the
-    single-trajectory state.
+    vectorised 1-opt descent that polishes QHD measurement samples
+    (:meth:`descend`).  Like the single state it keeps the flip signs
+    ``1 - 2x`` (exactly ±1), so :meth:`best_flips` is one multiply and
+    an argmin.  Dense models update all flipped rows at once: the
+    coupling rows are gathered with ``np.take`` into a preallocated
+    buffer, scaled by the exact ``±2`` and added into the fields;
+    sparse models update each flipped row through the same
+    coupling-row and factor-row kernel as the single-trajectory state.
 
     Parameters
     ----------
@@ -555,11 +560,13 @@ class BatchFlipDeltaState:
         _check_binary(batch, "xs")
         self._model = model
         self._x = batch
+        self._sign = 1.0 - 2.0 * batch
         self._refresh_every = _check_refresh_every(refresh_every)
         self.refresh()
         self._n_flips = 0
         self._scratch = np.empty_like(batch)
         self._row_ids = np.arange(batch.shape[0])
+        self._row_marks = np.empty(batch.shape[0], dtype=np.intp)
         _bind_model_slots(self, model)
 
     @property
@@ -588,9 +595,8 @@ class BatchFlipDeltaState:
 
     def deltas(self) -> np.ndarray:
         """Flip deltas for every (trajectory, bit), shape ``(batch, n)``."""
-        return (1.0 - 2.0 * self._x) * self._fields
+        return self._sign * self._fields
 
-    @hot_path
     def best_flips(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-trajectory (indices, deltas) of the best single flips.
 
@@ -612,29 +618,114 @@ class BatchFlipDeltaState:
         >>> cols.tolist(), deltas.tolist()
         ([1, 1], [-3.0, -3.0])
         """
-        scratch = self._scratch
-        np.multiply(self._x, -2.0, out=scratch)
-        np.add(scratch, 1.0, out=scratch)
-        np.multiply(scratch, self._fields, out=scratch)
-        cols = np.argmin(scratch, axis=1)
-        return cols, scratch[self._row_ids, cols]
+        return self._best_flips(self._x.shape[0])
 
-    @hot_path
-    def flip(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def flip(self, rows: ArrayLike, cols: ArrayLike) -> np.ndarray:
         """Accept one flip per listed trajectory; returns their deltas.
 
         ``rows`` must be distinct trajectory indices (each row flips at
-        most one bit per call); ``cols`` gives the bit flipped in each.
+        most one bit per call) — a repeated row raises
+        :class:`QuboError`; ``cols`` gives the bit flipped in each.
         """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        signs = 1.0 - 2.0 * self._x[rows, cols]
+        row_idx = np.asarray(rows, dtype=np.intp)
+        col_idx = np.asarray(cols, dtype=np.intp)
+        count = row_idx.shape[0]
+        marks = self._row_marks
+        ids = self._row_ids[:count]
+        # Mark each row with its position: a repeated row keeps one
+        # position only, so reading the marks back cannot match.
+        if count > marks.shape[0]:
+            raise QuboError("rows must not repeat a trajectory")
+        marks[row_idx] = ids
+        if not np.array_equal(marks[row_idx], ids):
+            raise QuboError("rows must not repeat a trajectory")
+        return self._flip(row_idx, col_idx, row_idx)
+
+    def descend(self, max_sweeps: int) -> int:
+        """Steepest 1-opt descent of every trajectory; returns the sweeps.
+
+        Each sweep flips the best bit of every trajectory whose best
+        flip still improves (``delta < -1e-12``), until none does or
+        ``max_sweeps`` sweeps have run.  A trajectory that stops
+        improving retires for good: no other trajectory's flip touches
+        its row, so it could never improve again.  The live
+        trajectories are kept compacted to a prefix of the state's
+        rows, so each sweep's argmin, row gather and field add run on
+        that prefix alone; the rows are back in their original order
+        when this returns.  Flips, fields and energies are exactly
+        those of calling :meth:`best_flips` and :meth:`flip` on the
+        improving rows sweep by sweep.
+        """
+        live = self._x.shape[0]
+        order = np.arange(live)
+        sweeps = 0
+        while sweeps < max_sweeps and live:
+            cols, deltas = self._best_flips(live)
+            improving = deltas < -1e-12
+            if not improving.all():
+                live, cols = self._retire(improving, cols, order)
+                if not live:
+                    break
+            self._flip(self._row_ids[:live], cols, slice(0, live))
+            sweeps += 1
+        if not np.array_equal(order, self._row_ids):
+            restore = np.argsort(order)
+            for arr in (self._x, self._sign, self._fields, self._energies):
+                arr[:] = arr[restore]
+        return sweeps
+
+    @hot_path
+    def _best_flips(self, live: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`best_flips` of the first ``live`` rows."""
+        scratch = self._scratch[:live]
+        np.multiply(self._sign[:live], self._fields[:live], out=scratch)
+        cols = np.argmin(scratch, axis=1)
+        return cols, scratch[self._row_ids[:live], cols]
+
+    def _retire(
+        self, improving: np.ndarray, cols: np.ndarray, order: np.ndarray
+    ) -> tuple[int, np.ndarray]:
+        """Shrink the live prefix to the ``improving`` rows.
+
+        Improving rows sitting past the new prefix swap places with the
+        retiring rows inside it; ``order`` tracks each row's original
+        index.  Returns the new prefix length and its columns.
+        """
+        live = int(np.count_nonzero(improving))
+        holes = np.flatnonzero(~improving[:live])
+        if holes.size:
+            movers = live + np.flatnonzero(improving[live:])
+            src = np.concatenate([movers, holes])
+            dst = np.concatenate([holes, movers])
+            for arr in (
+                self._x, self._sign, self._fields, self._energies, order
+            ):
+                arr[dst] = arr[src]
+            cols[holes] = cols[movers]
+        return live, cols[:live]
+
+    @hot_path
+    def _flip(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        target: np.ndarray | slice,
+    ) -> np.ndarray:
+        """Flip bit ``cols[j]`` of distinct trajectory ``rows[j]``.
+
+        ``target`` selects the same rows for the whole-row field and
+        energy adds: ``rows`` itself, or the slice of a live prefix.
+        """
+        signs = self._sign[rows, cols]
         deltas = signs * self._fields[rows, cols]
 
         if self._dense_rows is not None:
-            self._fields[rows] += (
-                (2.0 * signs)[:, None] * self._dense_rows[cols]
-            )
+            # The argmin scratch is free again: best-flip results are
+            # copies, so it takes the gathered coupling rows.
+            gathered = self._scratch[: cols.shape[0]]
+            np.take(self._dense_rows, cols, axis=0, out=gathered, mode="wrap")
+            gathered *= (2.0 * signs)[:, None]
+            self._fields[target] += gathered
         else:
             indptr = self._row_indptr
             indices = self._row_indices
@@ -648,7 +739,8 @@ class BatchFlipDeltaState:
                 _flip_factor_rows(self, self._fields[r], c, 2.0 * s)
 
         self._x[rows, cols] = 1.0 - self._x[rows, cols]
-        self._energies[rows] += deltas
+        self._sign[rows, cols] = -signs
+        self._energies[target] += deltas
         self._n_flips += 1
         if (
             self._refresh_every is not None

@@ -27,7 +27,11 @@ only O(row nnz) per accepted flip afterwards.
 
 Storage is canonicalised at construction into a single symmetric
 zero-diagonal coupling matrix plus an effective linear vector, so energies
-and fields are directly comparable across backends.
+and fields are directly comparable across backends.  The dense
+community-QUBO builder writes that canonical form directly and also
+records the coupling's Kronecker block structure
+(:meth:`QuboModel.kronecker_terms`), which the QHD evolution engine
+uses for its mean-field fields.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ from numpy.typing import ArrayLike
 
 from repro.exceptions import QuboError
 from repro.utils.validation import check_square_matrix
+
+#: ``(n, k, M, a)`` of a coupling ``M ⊗ I_k + a · I_n ⊗ (J_k - I_k)``;
+#: see :meth:`QuboModel.kronecker_terms`.
+KroneckerTerms = tuple[int, int, np.ndarray, float]
 
 
 class BaseQubo(ABC):
@@ -173,6 +181,30 @@ class QuboModel(BaseQubo):
         self._coupling = coupling
         self._effective_linear = b + diag
         self._offset = float(offset)
+        self._kronecker: KroneckerTerms | None = None
+
+    @classmethod
+    def _canonical(
+        cls,
+        coupling: np.ndarray,
+        effective_linear: np.ndarray,
+        offset: float,
+        kronecker: KroneckerTerms | None = None,
+    ) -> "QuboModel":
+        """A model around arrays that are already in canonical form.
+
+        Nothing is copied, validated or re-symmetrised: ``coupling``
+        must be symmetric with a zero diagonal and ``effective_linear``
+        must carry the folded diagonal.  ``kronecker`` records the
+        coupling's block structure (see :meth:`kronecker_terms`); only
+        a builder that wrote exactly that structure may pass it.
+        """
+        model: "QuboModel" = cls.__new__(cls)
+        model._coupling = coupling
+        model._effective_linear = effective_linear
+        model._offset = float(offset)
+        model._kronecker = kronecker
+        return model
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -200,6 +232,33 @@ class QuboModel(BaseQubo):
     def offset(self) -> float:
         """Constant energy offset."""
         return self._offset
+
+    def kronecker_terms(self) -> KroneckerTerms | None:
+        """The coupling's Kronecker form ``(n, k, M, a)``, or ``None``.
+
+        When set, the coupling is exactly
+
+            S = M ⊗ I_k + a · I_n ⊗ (J_k - I_k)
+
+        over variables ``i * k + c``: the symmetric zero-diagonal
+        ``(n, n)`` block ``M`` couples ``(i, c)`` to ``(j, c)`` in
+        every one of the ``k`` groups, and the constant ``a`` couples
+        ``(i, c)`` to ``(i, c')`` for ``c != c'``.  ``M`` (read-only)
+        and ``a`` are the coupling's own entries, bit for bit.  Only
+        :func:`repro.qubo.build_community_qubo`'s dense assembly sets
+        it; every other constructor and every derived model
+        (:meth:`patch`, :meth:`scaled`, :meth:`negated`,
+        :meth:`with_offset`, :meth:`fix_variable`) returns ``None``.
+        The energies and fields of this class still read the dense
+        coupling; :class:`repro.qhd.engine.EvolutionEngine` uses the
+        terms for its mean-field fields.
+
+        Examples
+        --------
+        >>> QuboModel([[0.0, 1.0], [1.0, 0.0]]).kronecker_terms() is None
+        True
+        """
+        return self._kronecker
 
     # ------------------------------------------------------------------
     # Energies
@@ -282,32 +341,29 @@ class QuboModel(BaseQubo):
         diagonal.  See
         :class:`repro.qubo.streaming.CommunityQuboPatcher` for the
         community-QUBO patcher that computes these arrays bit-exactly
-        versus a from-scratch rebuild.
+        versus a from-scratch rebuild.  The patched model carries no
+        :meth:`kronecker_terms`: a splice may break the structure.
         """
         n = self.n_variables
-        model: "QuboModel" = type(self).__new__(type(self))
-        if coupling is None:
-            model._coupling = self._coupling
-        else:
+        arr = self._coupling
+        if coupling is not None:
             arr = np.asarray(coupling, dtype=np.float64)
             if arr.shape != (n, n):
                 raise QuboError(
                     f"patched coupling must have shape {(n, n)}, "
                     f"got {arr.shape}"
                 )
-            model._coupling = arr
-        if effective_linear is None:
-            model._effective_linear = self._effective_linear
-        else:
+        linear = self._effective_linear
+        if effective_linear is not None:
             linear = np.asarray(effective_linear, dtype=np.float64)
             if linear.shape != (n,):
                 raise QuboError(
                     f"patched effective_linear must have shape ({n},), "
                     f"got {linear.shape}"
                 )
-            model._effective_linear = linear
-        model._offset = self._offset if offset is None else float(offset)
-        return model
+        return type(self)._canonical(
+            arr, linear, self._offset if offset is None else offset
+        )
 
     # ------------------------------------------------------------------
     # Transformations

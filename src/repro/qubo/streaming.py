@@ -36,10 +36,12 @@ the row-restricted ``repatch(rows=...)`` form is for patches that
 leave the global terms alone.
 
 The dense backend has no incremental structure to exploit — the null
-model densifies every community block — so its "patch" recomputes the
-canonical arrays with the pinned penalties and splices them through
-:meth:`repro.qubo.QuboModel.patch`; it exists so both backends satisfy
-the same bit-exact equivalence contract.
+model densifies every community block — so its "patch" is the dense
+builder's canonical assembly with the pinned penalties: the fresh
+model, Kronecker terms included
+(:meth:`repro.qubo.QuboModel.kronecker_terms`), bit-exact versus a
+rebuild by construction.  It exists so both backends satisfy the same
+equivalence contract.
 """
 
 from __future__ import annotations
@@ -215,17 +217,9 @@ class CommunityQuboPatcher:
         )
 
     def _patch_dense(self, graph: Graph) -> CommunityQubo:
-        """Dense patch: pinned-penalty canonical arrays, spliced in."""
-        old = self._current.model
-        if not isinstance(old, QuboModel):
-            raise QuboError("dense patching requires a QuboModel")
-        fresh = _build_dense(
+        """Dense patch: the canonical assembly with pinned penalties."""
+        model = _build_dense(
             graph, self._vmap, self._la, self._ls, self._w1, self._w3
-        )
-        model = old.patch(
-            coupling=np.asarray(fresh.coupling),
-            effective_linear=np.asarray(fresh.effective_linear),
-            offset=fresh.offset,
         )
         return self._wrap(model, graph)
 

@@ -82,42 +82,29 @@ def local_search_batch(
     model: QuboModel,
     xs: np.ndarray,
     max_sweeps: int = 100,
-    refresh_every: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised 1-opt descent on a whole batch of assignments at once.
 
-    Every sweep flips each unconverged row's best-improving bit, found
-    by the fused ``best_flips`` argmin of an incrementally maintained
+    Every sweep flips each still-improving row's best bit, found by the
+    fused argmin of an incrementally maintained
     :class:`~repro.qubo.delta.BatchFlipDeltaState` — one field
-    materialisation up front, no ``(batch, n)`` delta copy per sweep,
-    then O(row nnz) per accepted flip instead of a full batch mat-vec.
-    Used by the QHD solver to refine all measurement samples
-    simultaneously.  ``refresh_every`` bounds the float drift of very
-    long descents by re-materialising the population's fields every
-    that many accepted sweeps (``None`` = never, the bit-exact
-    default).
+    materialisation up front, then O(row nnz) per accepted flip instead
+    of a full batch mat-vec.  A row that stops improving leaves the
+    working set (:meth:`~repro.qubo.delta.BatchFlipDeltaState.descend`),
+    so late sweeps touch only the rows still descending.  Used by the
+    QHD solver to refine all measurement samples simultaneously.
 
     Returns
     -------
-    (xs_local, energies): refined int8 assignments and their energies.
+    (xs_local, energies): refined int8 assignments and their energies,
+    in the order of ``xs``.
     """
     check_integer(max_sweeps, "max_sweeps", minimum=1)
     batch = np.asarray(xs, dtype=np.float64)
     if batch.ndim != 2:
         raise ValueError(f"xs must be 2-D, got shape {batch.shape}")
-    state = batch_flip_state(model, batch, refresh_every=refresh_every)
-    active = np.ones(len(batch), dtype=bool)
-    rows = np.arange(len(batch))
-    for _ in range(max_sweeps):
-        if not np.any(active):
-            break
-        best, best_deltas = state.best_flips()
-        improving = best_deltas < -1e-12
-        improving &= active
-        if not np.any(improving):
-            break
-        state.flip(rows[improving], best[improving])
-        active = improving
+    state = batch_flip_state(model, batch)
+    state.descend(max_sweeps)
     result = state.x
     return result.astype(np.int8), model.evaluate_batch(result)
 

@@ -4,8 +4,10 @@ Two reference loops are pinned below:
 
 * ``frozen_engine_run`` is a frozen copy of the engine's grid-major
   loop (fused kinetic operator table, doubling potential phase, row-add
-  CDF).  The engine-driven solver must reproduce it **bit-for-bit** in
-  complex128, dense and sparse, with and without tracing.
+  CDF, and on a model with Kronecker terms the block-structured
+  mean-field fields).  The engine-driven solver must reproduce it
+  **bit-for-bit** in complex128 — random dense QUBOs, sparse and dense
+  community QUBOs — with and without tracing.
 * ``reference_qhd_run`` is the solver's original inline loop
   (per-step schedule calls, ``position_expectations`` +
   ``sample_positions`` double density passes, ``strang_step``
@@ -24,6 +26,7 @@ import pytest
 
 from repro.api import SOLVERS, ConfigError, Session
 from repro.exceptions import SimulationError, SolverError
+from repro.graphs.coarsen import coarsen_to_threshold
 from repro.graphs.lfr import lfr_graph
 from repro.hamiltonian.grid import PositionGrid, laplacian_eigensystem
 from repro.hamiltonian.observables import (
@@ -139,6 +142,20 @@ def frozen_engine_run(solver: QhdSolver, model):
     phases = np.exp(((-1j * kin) * dt)[:, None] * energies)
     operators = np.matmul(modes * phases[:, None, :], modes)
     kick_angle = (-pot * (dt / 2.0)) * spacing
+    getter = getattr(model, "kronecker_terms", None)
+    terms = None if getter is None else getter()
+
+    def local_fields(positions):
+        """2 pos S + c; from S = M ⊗ I_k + I_n ⊗ a (J_k - I_k) if known."""
+        if terms is None:
+            return model.local_fields_batch(positions)
+        n_nodes, k, m_block, pair = terms
+        by_node = m_block @ positions.reshape(samples, n_nodes, k)
+        by_pair = positions.reshape(-1, k) @ (
+            pair * (np.ones((k, k)) - np.eye(k))
+        )
+        coupled = by_node.reshape(samples, -1) + by_pair.reshape(samples, -1)
+        return 2.0 * coupled + model.effective_linear
 
     def normalized_density(psi):
         dens = np.square(np.abs(psi))
@@ -168,7 +185,7 @@ def frozen_engine_run(solver: QhdSolver, model):
             mu0 = points @ dens[:, 0, :]
         field_input = draw(np.cumsum(dens, axis=0))
         field_input[0] = mu0
-        fields = model.local_fields_batch(field_input) / energy_scale
+        fields = local_fields(field_input) / energy_scale
 
         half = np.empty_like(psi)
         theta = fields * kick_angle[step]
@@ -226,6 +243,29 @@ def dense_model():
 def sparse_model():
     graph, _ = lfr_graph(40, mixing=0.15, seed=5)
     return build_community_qubo(graph, 3, backend="sparse").model
+
+
+@pytest.fixture(scope="module")
+def community_model():
+    graph, _ = lfr_graph(40, mixing=0.15, seed=5)
+    model = build_community_qubo(graph, 3, backend="dense").model
+    assert model.kronecker_terms() is not None
+    return model
+
+
+@pytest.fixture(scope="module")
+def coarse_model():
+    """k=8 community QUBO of a coarsened LFR graph with self-loops."""
+    graph, _ = lfr_graph(300, mixing=0.2, seed=9)
+    hierarchy = coarsen_to_threshold(
+        graph, 40, max_degree=2.0 * graph.total_weight / 8
+    )
+    coarse = hierarchy.levels[-1].coarse_graph
+    edge_u, edge_v, _ = coarse.edge_arrays()
+    assert np.any(edge_u == edge_v)
+    model = build_community_qubo(coarse, 8, backend="dense").model
+    assert model.kronecker_terms() is not None
+    return model
 
 
 def _trace_fields(details):
@@ -303,6 +343,19 @@ class TestBitExactEquivalence:
     def test_alternative_schedules(self, dense_model):
         assert_engine_contract({"schedule": "linear"}, dense_model)
         assert_engine_contract({"schedule": "exponential"}, dense_model)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_community_kronecker_fields(self, community_model, seed):
+        assert_engine_contract({"seed": seed}, community_model)
+
+    def test_community_with_trace(self, community_model):
+        assert_engine_contract({"record_trace": True}, community_model)
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_coarse_self_loops_k8(self, coarse_model, record_trace):
+        assert_engine_contract(
+            {"record_trace": record_trace, "n_steps": 40}, coarse_model
+        )
 
 
 class TestComplex64Mode:
@@ -384,6 +437,39 @@ class TestEngineInternals:
         angles = theta * points[:, None, None]
         np.testing.assert_allclose(out.real, np.cos(angles), atol=1e-14)
         np.testing.assert_allclose(out.imag, np.sin(angles), atol=1e-14)
+
+    @pytest.mark.parametrize("dtype", ["complex128", "complex64"])
+    def test_block_fields_match_dense_matvec(self, coarse_model, dtype):
+        """The Kronecker stage is the model's field mat-vec up to rounding."""
+        engine = EvolutionEngine(
+            coarse_model,
+            make_solver().schedule,
+            n_samples=5,
+            grid_points=8,
+            n_steps=5,
+            t_final=1.0,
+            dtype=dtype,
+        )
+        positions = ensure_rng(3).random(engine._pos.shape)
+        engine._pos[...] = positions
+        expected = coarse_model.local_fields_batch(engine._pos)
+        fields = engine._block_fields()
+        assert fields.dtype == np.float64
+        np.testing.assert_allclose(fields, expected, rtol=1e-12, atol=1e-14)
+
+    def test_models_without_terms_use_the_model_matvec(
+        self, dense_model, sparse_model
+    ):
+        for model in (dense_model, sparse_model):
+            engine = EvolutionEngine(
+                model,
+                make_solver().schedule,
+                n_samples=2,
+                grid_points=8,
+                n_steps=5,
+                t_final=1.0,
+            )
+            assert not engine._blocked
 
     def test_evolve_rejects_wrong_psi0_shape(self, dense_model):
         engine = EvolutionEngine(

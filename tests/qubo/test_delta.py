@@ -13,6 +13,12 @@ updated through strided views and the flip signs were maintained: every
 factor row goes through ``fields[indices] += w * data`` and every
 argmin rebuilds ``1 - 2x``.  ``TestFrozenKernelContract`` pins the
 current engine to them bit for bit.
+
+``frozen_local_search_batch`` is the batched 1-opt descent from before
+it kept only the still-improving trajectories in its working set: every
+sweep takes the argmin over the whole batch and flips the improving
+rows through fancy-indexed gathers and scatters.
+``TestLiveRowDescentContract`` pins :func:`local_search_batch` to it.
 """
 
 import numpy as np
@@ -226,6 +232,81 @@ class FrozenBatchFlipState(FrozenFlipState):
         self.x[rows, cols] = 1.0 - self.x[rows, cols]
         self.energies[rows] += deltas
         return deltas
+
+
+class FrozenDescentState(FrozenFlipState):
+    """``BatchFlipDeltaState`` as the whole-batch descent drove it.
+
+    Frozen copy: ``best_flips`` rebuilds ``1 - 2x`` over every row,
+    dense flips add ``(2 s)[:, None] * S[cols]`` into ``fields[rows]``,
+    sparse flips update each row through its CSR slice and factor rows.
+    """
+
+    def __init__(self, model, xs):
+        self.x = np.array(xs, dtype=np.float64)
+        self.fields = np.asarray(
+            model.local_fields_batch(self.x), dtype=np.float64
+        ).copy()
+        self._wire(model)
+
+    def best_flips(self):
+        scratch = np.empty_like(self.x)
+        np.multiply(self.x, -2.0, out=scratch)
+        np.add(scratch, 1.0, out=scratch)
+        np.multiply(scratch, self.fields, out=scratch)
+        cols = np.argmin(scratch, axis=1)
+        return cols, scratch[np.arange(len(cols)), cols]
+
+    def flip(self, rows, cols):
+        signs = 1.0 - 2.0 * self.x[rows, cols]
+        if self.dense_rows is not None:
+            self.fields[rows] += (
+                (2.0 * signs)[:, None] * self.dense_rows[cols]
+            )
+        else:
+            for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
+                a, b = self.row_indptr[c], self.row_indptr[c + 1]
+                self.fields[r, self.row_indices[a:b]] += (
+                    (2.0 * s) * self.row_data[a:b]
+                )
+        if self.f_alpha is not None:
+            for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
+                ca, cb = self.f_col_indptr[c], self.f_col_indptr[c + 1]
+                trows = self.f_col_indices[ca:cb]
+                if not trows.size:
+                    continue
+                weights = (2.0 * s) * (
+                    self.f_alpha[trows] * self.f_col_data[ca:cb]
+                )
+                row_fields = self.fields[r]
+                for t, w in zip(trows.tolist(), weights.tolist()):
+                    ra, rb = self.f_row_indptr[t], self.f_row_indptr[t + 1]
+                    row_fields[self.f_row_indices[ra:rb]] += (
+                        w * self.f_row_data[ra:rb]
+                    )
+                row_fields[c] -= (2.0 * s) * self.f_diag[c]
+        self.x[rows, cols] = 1.0 - self.x[rows, cols]
+
+
+def frozen_local_search_batch(model, xs, max_sweeps):
+    """``local_search_batch`` before live rows; also returns flip counts."""
+    state = FrozenDescentState(model, xs)
+    active = np.ones(len(xs), dtype=bool)
+    rows = np.arange(len(xs))
+    flips = np.zeros(len(xs), dtype=np.int64)
+    for _ in range(max_sweeps):
+        if not np.any(active):
+            break
+        best, best_deltas = state.best_flips()
+        improving = best_deltas < -1e-12
+        improving &= active
+        if not np.any(improving):
+            break
+        state.flip(rows[improving], best[improving])
+        flips += improving
+        active = improving
+    result = state.x
+    return result.astype(np.int8), model.evaluate_batch(result), flips
 
 
 class TestFlipDeltaState:
@@ -623,22 +704,6 @@ class TestBatchRefreshCadence:
         assert drift_refreshing <= drift_plain
         np.testing.assert_array_equal(refreshing.energies, truth_energies)
 
-    def test_local_search_batch_accepts_cadence(self):
-        """The batched 1-opt descent threads the knob through unchanged."""
-        from repro.solvers.greedy import local_search_batch
-
-        model = _dense_model(5)
-        rng = np.random.default_rng(602)
-        xs = (rng.random((8, model.n_variables)) < 0.5).astype(np.float64)
-        plain_x, plain_e = local_search_batch(model, xs, max_sweeps=200)
-        fresh_x, fresh_e = local_search_batch(
-            model, xs, max_sweeps=200, refresh_every=3
-        )
-        # Drift over a few hundred well-conditioned sweeps is far below
-        # the 1e-12 acceptance threshold, so the descents coincide.
-        np.testing.assert_array_equal(plain_x, fresh_x)
-        np.testing.assert_allclose(plain_e, fresh_e, atol=1e-9)
-
     def test_batch_flip_state_helper_threads_cadence(self):
         from repro.solvers.base import batch_flip_state
 
@@ -904,6 +969,116 @@ class TestBinaryAssignments:
             with pytest.raises(QuboError, match="binary"):
                 BatchFlipDeltaState(model, bad)
         BatchFlipDeltaState(model, [[1, 0], [0, 1]])
+
+
+class TestRepeatedRows:
+    """``BatchFlipDeltaState.flip`` rejects a trajectory listed twice."""
+
+    def test_repeated_row_rejected_before_any_update(self):
+        rng = np.random.default_rng(0)
+        model = QuboModel(rng.standard_normal((4, 4)), rng.standard_normal(4))
+        state = BatchFlipDeltaState(model, np.zeros((1, 4)))
+        with pytest.raises(QuboError, match="repeat"):
+            state.flip([0, 0], [0, 1])
+        np.testing.assert_array_equal(state.x, np.zeros((1, 4)))
+        assert state.energies[0] == model.evaluate(np.zeros(4))
+
+    @pytest.mark.parametrize("rows", [[2, 0, 2], [1, -2]])
+    def test_repeats_anywhere_rejected(self, rows):
+        model = _dense_model(3, n=6)
+        state = BatchFlipDeltaState(model, np.zeros((3, 6)))
+        with pytest.raises(QuboError, match="repeat"):
+            state.flip(rows, list(range(len(rows))))
+
+    def test_distinct_rows_still_flip(self):
+        model = _dense_model(3, n=6)
+        state = BatchFlipDeltaState(model, np.zeros((3, 6)))
+        state.flip([2, 0], [1, 4])
+        assert state.x[2, 1] == 1.0 and state.x[0, 4] == 1.0
+        np.testing.assert_allclose(
+            state.energies, model.evaluate_batch(state.x), atol=1e-12
+        )
+
+
+class TestLiveRowDescentContract:
+    """``local_search_batch`` equals ``frozen_local_search_batch``.
+
+    Retired trajectories leave the working set and live ones are
+    compacted to a prefix, yet every refined assignment and energy must
+    be ``array_equal`` to the whole-batch descent, in the input order.
+    """
+
+    @staticmethod
+    def _assert_matches_frozen(model, xs, max_sweeps):
+        from repro.solvers.greedy import local_search_batch
+
+        got_x, got_e = local_search_batch(model, xs, max_sweeps=max_sweeps)
+        want_x, want_e, flips = frozen_local_search_batch(
+            model, xs, max_sweeps
+        )
+        np.testing.assert_array_equal(got_x, want_x)
+        np.testing.assert_array_equal(got_e, want_e)
+        return flips
+
+    @pytest.mark.parametrize("factory", MODEL_FACTORIES)
+    @pytest.mark.parametrize("max_sweeps", [3, None])
+    def test_model_factories(self, factory, max_sweeps):
+        model = factory(2)
+        n = model.n_variables
+        rng = np.random.default_rng(800)
+        xs = (rng.random((12, n)) < 0.5).astype(np.float64)
+        sweeps = 2 * n + 100 if max_sweeps is None else max_sweeps
+        self._assert_matches_frozen(model, xs, sweeps)
+
+    def test_base_solve_shape(self):
+        """Dense, ~900 variables, 80 candidates with ~45% ones."""
+        graph, _ = lfr_graph(112, mixing=0.2, seed=8)
+        model = build_community_qubo(graph, 8, backend="dense").model
+        n = model.n_variables
+        assert 850 <= n <= 950 and model.kronecker_terms() is not None
+        rng = np.random.default_rng(801)
+        xs = np.unique((rng.random((80, n)) < 0.45).astype(np.float64), axis=0)
+        flips = self._assert_matches_frozen(model, xs, 2 * n + 100)
+        assert flips.min() > 100
+
+    def test_rows_converge_at_different_sweeps(self):
+        model = _factor_model(3, n_nodes=30, k=3)
+        n = model.n_variables
+        rng = np.random.default_rng(802)
+        start = (rng.random(n) < 0.5).astype(np.float64)
+        minimum, _, _ = frozen_local_search_batch(
+            model, start[None, :], 2 * n + 100
+        )
+        xs = np.vstack(
+            [
+                (rng.random((3, n)) < 0.5).astype(np.float64),
+                minimum.astype(np.float64),
+                (rng.random((3, n)) < 0.2).astype(np.float64),
+            ]
+        )
+        flips = self._assert_matches_frozen(model, xs, 2 * n + 100)
+        assert flips[3] == 0
+        assert len(set(flips.tolist())) >= 4
+
+    def test_descend_restores_row_order_and_state(self):
+        model = _dense_model(4)
+        n = model.n_variables
+        rng = np.random.default_rng(803)
+        xs = (rng.random((9, n)) < 0.5).astype(np.float64)
+        state = BatchFlipDeltaState(model, xs)
+        sweeps = state.descend(2 * n + 100)
+        assert sweeps == state.n_flips > 0
+        np.testing.assert_allclose(
+            state.deltas(),
+            (1.0 - 2.0 * state.x) * model.local_fields_batch(state.x),
+            atol=1e-9,
+        )
+        np.testing.assert_allclose(
+            state.energies, model.evaluate_batch(state.x), atol=1e-9
+        )
+        cols, deltas = state.best_flips()
+        assert np.all(deltas >= -1e-12)
+        assert state.descend(5) == 0
 
 
 class TestFlipsAfterFactorRepatch:
