@@ -1,10 +1,10 @@
 """FLIP-DELTA — incremental vs recompute per-sweep local-search cost.
 
 Not a paper artefact: this bench guards the incremental flip-delta
-engine (:class:`repro.qubo.delta.FlipDeltaState`) that PR 3 put under
-the SA/tabu/greedy sweep loops.  On sparse LFR-derived community QUBOs
-it times the two ways of answering "what does flipping bit ``i``
-cost?" over identical flip sequences:
+engine (:class:`repro.qubo.delta.FlipDeltaState`) under the
+SA/tabu/greedy sweep loops.  On sparse LFR-derived community QUBOs it
+times the two ways of answering "what does flipping bit ``i`` cost?"
+over identical flip sequences:
 
 * ``sweep`` mode (the tabu/greedy shape) — each iteration finds the
   best single flip, then applies the next flip of the sequence:
@@ -21,6 +21,16 @@ cost?" over identical flip sequences:
 The flip sequence is drawn up front, so both sides of a mode do the
 same moves.
 
+A third mode, ``restarts``, times :class:`~repro.solvers.GreedySolver`'s
+random-restart block both ways on the same seeded starts:
+``sequential`` is one :func:`~repro.solvers.greedy.local_search` per
+start, ``batched`` is the one
+:func:`~repro.solvers.greedy.local_search_rows` descent the solver
+runs.  It checks that both return the same local minima and energies
+(exit status 1 otherwise), on a dense QUBO of the ``serve_detect``
+shape (LFR n=200, k=4) and a sparse one of the ``stream_updates``
+shape (LFR n=1000, k=8; 300 nodes under ``--quick``).
+
 Besides the usual text report it writes
 ``benchmarks/results/flip_delta.json`` (next to ``construction.json``)
 with the shape::
@@ -32,7 +42,11 @@ with the shape::
          "sweep_speedup": ...,
          "single_recompute_ms": ..., "single_incremental_ms": ...,
          "single_speedup": ...}, ...],
-     "min_single_speedup": ...}
+     "min_single_speedup": ...,
+     "restarts": [
+        {"backend": ..., "n_nodes": ..., "n_variables": ...,
+         "n_restarts": ..., "max_sweeps": ...,
+         "sequential_ms": ..., "batched_ms": ..., "speedup": ...}, ...]}
 
 Run standalone with ``python benchmarks/bench_flip_delta.py [--quick]``
 (``--quick`` forces small instances for CI) or through pytest like the
@@ -62,6 +76,84 @@ def _sparse_instance(n_nodes: int, n_communities: int, seed: int):
     graph, _ = lfr_graph(n_nodes, mixing=0.1, seed=seed)
     built = build_community_qubo(graph, n_communities, backend="sparse")
     return built.model
+
+
+def _time_restarts(model, starts, max_sweeps, rounds):
+    """Median seconds of both restart blocks; raises if they disagree."""
+    from repro.solvers.greedy import local_search, local_search_rows
+
+    sequential, batched = [], []
+    for round_ in range(rounds):
+        # Alternate which side runs first, so neither always warms up.
+        for side in ((0, 1) if round_ % 2 else (1, 0)):
+            start = time.perf_counter()
+            if side:
+                xs, energies, _ = local_search_rows(
+                    model, starts, max_sweeps
+                )
+                batched.append(time.perf_counter() - start)
+            else:
+                singles = [
+                    local_search(model, row, max_sweeps) for row in starts
+                ]
+                sequential.append(time.perf_counter() - start)
+    for row, ((x, energy, _), got_x, got_energy) in enumerate(
+        zip(singles, xs, energies)
+    ):
+        if not np.array_equal(x, got_x) or energy != got_energy:
+            raise RuntimeError(
+                f"batched restart {row} differs from local_search: "
+                f"energy {got_energy!r} vs {energy!r}"
+            )
+    return float(np.median(sequential)), float(np.median(batched))
+
+
+def run_restarts(
+    scale: float, n_restarts: int = 8, max_sweeps: int = 100
+) -> list[dict]:
+    """Time the greedy restart block on the serve and stream shapes.
+
+    Both run on one BLAS thread, the budget a ``repro serve`` or
+    ``repro stream`` worker gets on two cores; with more, the dense
+    mat-vecs' thread wake-ups swamp the timings.
+    """
+    from repro.api.threads import blas_threads, set_blas_threads
+    from repro.graphs.lfr import lfr_graph
+    from repro.qubo import build_community_qubo
+
+    shapes = [
+        ("dense", 200, 0.1, 4),
+        ("sparse", max(300, int(round(1000 * scale))), 0.2, 8),
+    ]
+    rng = np.random.default_rng(1)
+    rows = []
+    previous = blas_threads()
+    set_blas_threads(1)
+    try:
+        for backend, n_nodes, mixing, k in shapes:
+            graph, _ = lfr_graph(n_nodes, mixing=mixing, seed=1)
+            model = build_community_qubo(graph, k, backend=backend).model
+            n = model.n_variables
+            starts = (rng.random((n_restarts - 1, n)) < 0.5).astype(float)
+            sequential, batched = _time_restarts(
+                model, starts, max_sweeps, 5
+            )
+            rows.append(
+                {
+                    "backend": backend,
+                    "n_nodes": n_nodes,
+                    "n_variables": n,
+                    "n_restarts": n_restarts,
+                    "max_sweeps": max_sweeps,
+                    "sequential_ms": sequential * 1e3,
+                    "batched_ms": batched * 1e3,
+                    "speedup": sequential / max(1e-12, batched),
+                }
+            )
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
+    return rows
 
 
 def _time_sweep_recompute(model, flips, x0) -> float:
@@ -155,6 +247,7 @@ def run_flip_delta(scale: float, n_communities: int = 4) -> dict:
         "min_single_speedup": min(
             row["single_speedup"] for row in instances
         ),
+        "restarts": run_restarts(scale),
     }
 
 
@@ -178,6 +271,18 @@ def report_text(report: dict) -> str:
     lines.append(
         f"min single-flip speedup: {report['min_single_speedup']:.1f}x"
     )
+    lines += [
+        "",
+        "greedy restart block, same starts (identical minima checked)",
+        f"{'backend':>7} {'n':>7} {'restarts':>8} {'sequential':>11} "
+        f"{'batched':>10} {'speedup':>8}",
+    ]
+    for row in report["restarts"]:
+        lines.append(
+            f"{row['backend']:>7} {row['n_variables']:>7} "
+            f"{row['n_restarts'] - 1:>8} {row['sequential_ms']:>9.2f}ms "
+            f"{row['batched_ms']:>8.2f}ms {row['speedup']:>7.2f}x"
+        )
     return "\n".join(lines)
 
 
@@ -200,6 +305,10 @@ def test_flip_delta(benchmark):
     print(f"[json saved to {path}]")
 
     assert len(report["instances"]) == 2
+    assert [row["backend"] for row in report["restarts"]] == [
+        "dense",
+        "sparse",
+    ]
     # The engine must beat per-iteration recomputation on sparse models.
     assert report["min_single_speedup"] > 1.0
 

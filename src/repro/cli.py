@@ -429,6 +429,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             max_queue=args.max_queue,
             max_body_bytes=args.max_body_bytes,
+            read_timeout=args.read_timeout,
             max_workers=args.max_workers,
             executor=args.executor,
         )
@@ -741,6 +742,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=8 * 1024 * 1024,
         help="request-body size cap; larger bodies get 413 "
         "(default: 8 MiB)",
+    )
+    serve.add_argument(
+        "--read-timeout",
+        type=float,
+        default=30.0,
+        help="seconds a connection may stay silent while its request "
+        "is read; a stalled body gets 408 (default: 30)",
     )
     _add_session_flags(serve, default_executor="auto")
     serve.set_defaults(func=_cmd_serve)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exceptions import QuboError
 from repro.qubo.model import QuboModel
 from repro.solvers.greedy import local_search_batch
 
@@ -41,21 +42,32 @@ def refine_candidates(
     model:
         The QUBO being solved.
     candidates:
-        Binary matrix ``(n_candidates, n_variables)``.
+        Binary matrix ``(n_candidates, n_variables)``; any entry other
+        than 0 or 1 raises :class:`~repro.exceptions.QuboError`.
     max_sweeps:
-        Cap on 1-opt sweeps (each sweep flips at most one bit per row).
+        Cap on 1-opt sweeps (each sweep flips at most one bit per row);
+        ``0`` only deduplicates and evaluates.
 
     Returns
     -------
     (xs, energies):
-        Refined unique candidates (int8) and their energies.
+        Refined unique candidates (int8) and their energies, the
+        unique rows in ``np.unique(candidates, axis=0)`` order.
     """
     batch = np.asarray(candidates, dtype=np.float64)
     if batch.ndim != 2:
         raise ValueError(
             f"candidates must be 2-D, got shape {batch.shape}"
         )
-    unique = np.unique(batch, axis=0)
+    if not np.all((batch == 0.0) | (batch == 1.0)):
+        raise QuboError("candidates must be binary (every entry 0 or 1)")
+    # The rows of ``np.unique(batch, axis=0)``, in its order: packed
+    # bits sort lexicographically exactly as the 0/1 rows do, at an
+    # eighth of the width, and each unique row is taken from the input.
+    _, first = np.unique(
+        np.packbits(batch == 1.0, axis=1), axis=0, return_index=True
+    )
+    unique = batch[first]
     if max_sweeps <= 0:
         return unique.astype(np.int8), model.evaluate_batch(unique)
     return local_search_batch(model, unique, max_sweeps=max_sweeps)

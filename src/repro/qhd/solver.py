@@ -236,14 +236,9 @@ class QhdSolver(QuboSolver):
         refine_sweeps = self.refine_sweeps
         if refine_sweeps is None:
             refine_sweeps = 2 * model.n_variables + 100
-        if refine_sweeps > 0:
-            samples, energies = refine_candidates(
-                model, stacked, max_sweeps=refine_sweeps
-            )
-        else:
-            unique = np.unique(stacked, axis=0)
-            samples = unique.astype(np.int8)
-            energies = model.evaluate_batch(unique)
+        samples, energies = refine_candidates(
+            model, stacked, max_sweeps=refine_sweeps
+        )
         watch.stop()
 
         details = QhdDetails(

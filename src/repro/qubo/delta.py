@@ -45,6 +45,10 @@ refinement pass (:func:`repro.solvers.greedy.local_search_batch`)
 descends on.  Its :meth:`~BatchFlipDeltaState.descend` keeps only the
 still-improving trajectories in the working set, compacted to a prefix
 of the rows, so late sweeps touch the few rows still descending.
+:class:`~repro.solvers.greedy.GreedySolver`'s random restarts descend
+on a private variant whose fields are materialised row by row
+(:func:`repro.solvers.greedy.local_search_rows`), so the batch matches
+one single-trajectory search per row bit for bit.
 
 Two conveniences round the engine off: the fused argmins
 (:meth:`FlipDeltaState.best_flip` / :meth:`BatchFlipDeltaState.best_flips`)
@@ -567,6 +571,7 @@ class BatchFlipDeltaState:
         self._scratch = np.empty_like(batch)
         self._row_ids = np.arange(batch.shape[0])
         self._row_marks = np.empty(batch.shape[0], dtype=np.intp)
+        self._descent_flips = np.zeros(batch.shape[0], dtype=np.intp)
         _bind_model_slots(self, model)
 
     @property
@@ -592,6 +597,18 @@ class BatchFlipDeltaState:
     def refresh_every(self) -> int | None:
         """Flip-round cadence of automatic refreshes (None = never)."""
         return self._refresh_every
+
+    @property
+    def descent_flips(self) -> np.ndarray:
+        """Flips each trajectory made in the last :meth:`descend`.
+
+        A read-only ``(batch,)`` integer view in row order; zeros
+        before the first descent.  Summed over the rows it is the
+        sweep total of one single-trajectory descent per row.
+        """
+        view = self._descent_flips.view()
+        view.flags.writeable = False
+        return view
 
     def deltas(self) -> np.ndarray:
         """Flip deltas for every (trajectory, bit), shape ``(batch, n)``."""
@@ -654,20 +671,25 @@ class BatchFlipDeltaState:
         that prefix alone; the rows are back in their original order
         when this returns.  Flips, fields and energies are exactly
         those of calling :meth:`best_flips` and :meth:`flip` on the
-        improving rows sweep by sweep.
+        improving rows sweep by sweep.  :attr:`descent_flips` records
+        each trajectory's own flip count.
         """
         live = self._x.shape[0]
         order = np.arange(live)
+        flips = self._descent_flips
         sweeps = 0
         while sweeps < max_sweeps and live:
             cols, deltas = self._best_flips(live)
             improving = deltas < -1e-12
             if not improving.all():
+                # A live trajectory has flipped once in every sweep.
+                flips[order[:live][~improving]] = sweeps
                 live, cols = self._retire(improving, cols, order)
                 if not live:
                     break
             self._flip(self._row_ids[:live], cols, slice(0, live))
             sweeps += 1
+        flips[order[:live]] = sweeps
         if not np.array_equal(order, self._row_ids):
             restore = np.argsort(order)
             for arr in (self._x, self._sign, self._fields, self._energies):
@@ -727,16 +749,18 @@ class BatchFlipDeltaState:
             gathered *= (2.0 * signs)[:, None]
             self._fields[target] += gathered
         else:
+            # Only sparse models carry factor terms.  Each trajectory's
+            # coupling and factor rows are updated back to back.
             indptr = self._row_indptr
             indices = self._row_indices
             data = self._row_data
+            factors = self._f_alpha is not None
             for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
+                fields = self._fields[r]
                 a, b = indptr[c], indptr[c + 1]
-                self._fields[r, indices[a:b]] += (2.0 * s) * data[a:b]
-
-        if self._f_alpha is not None:
-            for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
-                _flip_factor_rows(self, self._fields[r], c, 2.0 * s)
+                fields[indices[a:b]] += (2.0 * s) * data[a:b]
+                if factors:
+                    _flip_factor_rows(self, fields, c, 2.0 * s)
 
         self._x[rows, cols] = 1.0 - self._x[rows, cols]
         self._sign[rows, cols] = -signs
@@ -825,4 +849,36 @@ class BatchFlipDeltaState:
         return (
             f"BatchFlipDeltaState(batch={self._x.shape[0]}, "
             f"n_variables={self._x.shape[1]}, n_flips={self._n_flips})"
+        )
+
+
+class _RowwiseBatchFlipDeltaState(BatchFlipDeltaState):
+    """A batch whose fields are materialised one trajectory at a time.
+
+    Each row's fields come from ``model.local_fields(row)``, the mat-vec
+    a :class:`FlipDeltaState` starts from, so :meth:`descend` retraces
+    one :func:`~repro.solvers.greedy.local_search` per row bit for bit.
+    ``local_fields_batch`` can differ from that mat-vec in the last
+    bits, and random 1-opt restarts often end exactly tied with the
+    incumbent, so the batched product would change which restart
+    :class:`~repro.solvers.greedy.GreedySolver` keeps.
+    """
+
+    def refresh(self) -> None:
+        """Fields row by row; running energies from those fields.
+
+        In canonical form ``h = 2 S x + c`` with a zero-diagonal ``S``,
+        so ``E(x) = x·(h + c) / 2 + offset``: no batched product, whose
+        BLAS packing buffers cost each calling thread about a megabyte
+        of resident memory.  Like every running energy these may differ
+        from ``model.evaluate`` in the last bits.
+        """
+        model = self._model
+        fields = np.empty_like(self._x)
+        for row, x in zip(fields, self._x):
+            row[:] = model.local_fields(x)
+        self._fields = fields
+        shifted = fields + model.effective_linear
+        self._energies = (
+            0.5 * np.einsum("bi,bi->b", self._x, shifted) + model.offset
         )

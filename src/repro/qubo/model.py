@@ -49,6 +49,9 @@ from repro.utils.validation import check_square_matrix
 #: see :meth:`QuboModel.kronecker_terms`.
 KroneckerTerms = tuple[int, int, np.ndarray, float]
 
+#: Rows of ``|S|`` formed at once by :meth:`BaseQubo.coupling_row_abs_sums`.
+_ABS_SUM_BLOCK = 64
+
 
 class BaseQubo(ABC):
     """Shared interface of the dense and sparse QUBO backends.
@@ -121,9 +124,17 @@ class BaseQubo(ABC):
 
         Used by the QHD solver to normalise the energy landscape; sparse
         backends override this to include their factor terms without
-        densifying.
+        densifying.  ``|S|`` is formed and summed a block of rows at a
+        time, never as a whole matrix; each row's reduction is the one
+        ``np.abs(S).sum(axis=1)`` performs, so the sums are identical.
         """
-        return np.asarray(np.abs(self.coupling).sum(axis=1)).ravel()
+        coupling = self.coupling
+        n = coupling.shape[0]
+        sums = np.empty(n, dtype=np.float64)
+        for start in range(0, n, _ABS_SUM_BLOCK):
+            stop = start + _ABS_SUM_BLOCK
+            np.abs(coupling[start:stop]).sum(axis=1, out=sums[start:stop])
+        return sums
 
 
 class QuboModel(BaseQubo):

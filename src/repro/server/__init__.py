@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro.server.core import (
     DEFAULT_MAX_BODY_BYTES,
     DEFAULT_MAX_QUEUE,
+    DEFAULT_READ_TIMEOUT,
     ReproServer,
 )
 from repro.server.wire import (
@@ -34,6 +35,7 @@ from repro.server.wire import (
 __all__ = [
     "DEFAULT_MAX_BODY_BYTES",
     "DEFAULT_MAX_QUEUE",
+    "DEFAULT_READ_TIMEOUT",
     "ReproServer",
     "WireError",
     "apply_time_limit",

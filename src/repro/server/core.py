@@ -29,6 +29,12 @@ is threaded into the spec's solver budget
 still answers ``200`` — the artifact's result carries
 ``status="time_limit"`` — and is tallied in ``timed_out``.
 
+**Slow clients.**  Each connection gets a socket read timeout
+(``read_timeout``, default 30 s).  A client that stalls mid-body gets
+``408`` once the socket has been silent that long; the body is never
+parsed, the answer is tallied in ``errors``, and the admission slot it
+held is freed.
+
 **Graceful drain.**  :meth:`ReproServer.request_shutdown` (wired to
 SIGTERM/SIGINT by the CLI) stops the accept loop; in-flight handlers
 finish and are joined (``block_on_close``), new requests get ``503``,
@@ -41,7 +47,8 @@ the requests it fails answer ``503`` with ``Retry-After`` (tallied in
 (``/stats`` → ``session.worker_restarts``).
 
 Error mapping: ``404`` unknown path, ``405`` wrong method, ``411``
-missing ``Content-Length``, ``413`` oversized body, ``400`` invalid
+missing ``Content-Length``, ``413`` oversized body, ``408`` a body
+that stalls past the read timeout, ``400`` invalid
 JSON, a negative or non-integer ``Content-Length``, or a body shorter
 than its ``Content-Length`` (never parsed), ``422`` well-formed JSON
 that is not a valid request
@@ -56,6 +63,7 @@ the reply is written gets no answer and is tallied in
 from __future__ import annotations
 
 import json
+import math
 import threading
 from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -71,6 +79,9 @@ DEFAULT_MAX_QUEUE = 8
 
 #: Default request-body size cap in bytes (the 413 threshold).
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Default seconds a connection may stay silent mid-read (the 408 threshold).
+DEFAULT_READ_TIMEOUT = 30.0
 
 
 class _HttpServer(ThreadingHTTPServer):
@@ -102,6 +113,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: Any) -> None:
         """Silence the stock stderr access log (stats() observes)."""
+
+    def setup(self) -> None:
+        """Give the connection the server's socket read timeout."""
+        self.timeout = self._repro.read_timeout
+        super().setup()
 
     def handle(self) -> None:
         """Serve the connection; tally a vanished client, print nothing.
@@ -221,7 +237,16 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         try:
-            body = self.rfile.read(length)
+            try:
+                body = self.rfile.read(length)
+            except TimeoutError:
+                server._tally("errors")
+                self._send_error_json(
+                    408,
+                    f"request body not received within the "
+                    f"{server.read_timeout:g} s read timeout",
+                )
+                return
             if len(body) < length:
                 server._tally("errors")
                 self._send_error_json(
@@ -297,6 +322,9 @@ class ReproServer:
         there is no unbounded buffer anywhere.
     max_body_bytes:
         Request-body size cap; the ``413`` threshold.
+    read_timeout:
+        Seconds a connection may stay silent while its request is read;
+        a stalled body answers ``408`` and frees its slot.
     **session_kwargs:
         Constructor arguments for the private session
         (``max_workers``, ``executor``).
@@ -319,6 +347,7 @@ class ReproServer:
         session: Session | None = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
+        read_timeout: float = DEFAULT_READ_TIMEOUT,
         **session_kwargs: Any,
     ) -> None:
         if int(max_queue) < 1:
@@ -329,12 +358,18 @@ class ReproServer:
             raise SessionError(
                 f"max_body_bytes must be >= 1, got {max_body_bytes}"
             )
+        if not 0 < float(read_timeout) < math.inf:
+            raise SessionError(
+                f"read_timeout must be a positive number of seconds, "
+                f"got {read_timeout}"
+            )
         self._session = (
             Session(**session_kwargs) if session is None else session
         )
         self._owned = session is None
         self._max_queue = int(max_queue)
         self._max_body_bytes = int(max_body_bytes)
+        self._read_timeout = float(read_timeout)
         self._slots = threading.BoundedSemaphore(self._max_queue)
         self._lock = threading.Lock()
         self._depth = 0
@@ -383,6 +418,11 @@ class ReproServer:
     def max_body_bytes(self) -> int:
         """The request-body size cap (the 413 threshold)."""
         return self._max_body_bytes
+
+    @property
+    def read_timeout(self) -> float:
+        """Seconds a connection may stay silent mid-read (the 408 cap)."""
+        return self._read_timeout
 
     @property
     def draining(self) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import SOLVERS
+from repro.qubo.delta import _RowwiseBatchFlipDeltaState
 from repro.qubo.model import QuboModel
 from repro.solvers.base import (
     QuboSolver,
@@ -109,9 +110,49 @@ def local_search_batch(
     return result.astype(np.int8), model.evaluate_batch(result)
 
 
+def local_search_rows(
+    model: QuboModel,
+    starts: np.ndarray,
+    max_sweeps: int = 100,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One :func:`local_search` per row of ``starts``, descended at once.
+
+    Returns exactly what calling :func:`local_search` on each row in
+    turn returns, bit for bit, from one batched descent.  Each row's
+    fields come from ``model.local_fields(row)`` (the state behind it
+    is a row-wise :class:`~repro.qubo.delta.BatchFlipDeltaState`), the
+    descent flips every row as the single search would, and each
+    final row's energy is ``model.evaluate(row)``.  The batched
+    products :func:`local_search_batch` uses can differ from these in
+    the last bits, enough to break an exact tie the other way.
+
+    Returns
+    -------
+    (xs_local, energies, sweeps):
+        int8 local minima, their energies and each row's sweep count,
+        in the order of ``starts``.
+    """
+    check_integer(max_sweeps, "max_sweeps", minimum=1)
+    if np.ndim(starts) != 2:
+        raise ValueError(f"starts must be 2-D, got shape {np.shape(starts)}")
+    state = _RowwiseBatchFlipDeltaState(model, starts)
+    state.descend(max_sweeps)
+    result = state.x
+    energies = np.array([model.evaluate(x) for x in result])
+    return result.astype(np.int8), energies, state.descent_flips.copy()
+
+
 @SOLVERS.register("greedy")
 class GreedySolver(QuboSolver):
     """Greedy construction + 1-opt local search with random restarts.
+
+    The first restart is :func:`greedy_construct` followed by
+    :func:`local_search`.  The other ``n_restarts - 1`` start from
+    uniformly random bitstrings, drawn in one call, and descend
+    together through :func:`local_search_rows`: the same local minima,
+    energies and sweep counts as one :func:`local_search` per start.
+    They are folded in order, and a restart replaces the incumbent
+    only when its energy is strictly lower.
 
     Parameters
     ----------
@@ -120,8 +161,13 @@ class GreedySolver(QuboSolver):
     max_sweeps:
         1-opt sweeps per restart.
     time_limit:
-        Optional wall-clock budget; remaining restarts are skipped once
-        it is exhausted and the result reports ``TIME_LIMIT``.
+        Optional wall-clock budget, checked once after the first
+        restart.  If it is exhausted by then, the random restarts are
+        skipped and the result reports ``TIME_LIMIT`` with
+        ``metadata["restarts"] == 1``; otherwise every restart runs to
+        completion.  A budget that expires during the random restarts
+        does not stop them, so ``restarts`` is either 1 or
+        ``n_restarts``.
     """
 
     name = "greedy"
@@ -150,15 +196,16 @@ class GreedySolver(QuboSolver):
             model, best_x, self.max_sweeps
         )
         restarts_run = 1
-        for _ in range(self.n_restarts - 1):
-            if budget.exhausted():
-                break
-            start = (rng.random(n) < 0.5).astype(np.float64)
-            x, energy, sweeps = local_search(model, start, self.max_sweeps)
-            total_sweeps += sweeps
-            restarts_run += 1
-            if energy < best_energy:
-                best_x, best_energy = x, energy
+        if self.n_restarts > 1 and not budget.exhausted():
+            starts = rng.random((self.n_restarts - 1, n)) < 0.5
+            xs, energies, sweeps = local_search_rows(
+                model, starts, self.max_sweeps
+            )
+            total_sweeps += int(sweeps.sum())
+            restarts_run = self.n_restarts
+            for x, energy in zip(xs, energies.tolist()):
+                if energy < best_energy:
+                    best_x, best_energy = x, energy
         watch.stop()
         status = (
             SolverStatus.TIME_LIMIT

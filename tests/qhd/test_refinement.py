@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import QuboError
 from repro.qhd.refinement import refine_candidates, round_positions
 from repro.qubo.random_instances import random_qubo
 
@@ -61,3 +62,23 @@ class TestRefineCandidates:
         refined, energies = refine_candidates(model, raw)
         recomputed = model.evaluate_batch(refined.astype(float))
         np.testing.assert_allclose(energies, recomputed)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 853, 856])
+    @pytest.mark.parametrize("rows", [1, 80])
+    def test_dedup_equals_np_unique(self, width, rows):
+        """Unique rows in ``np.unique(batch, axis=0)``'s exact order."""
+        model = random_qubo(width, 0.1, seed=width)
+        rng = np.random.default_rng(width + rows)
+        pool = (rng.random((max(1, rows // 3), width)) < 0.45).astype(float)
+        batch = pool[rng.integers(0, len(pool), size=rows)]
+        refined, energies = refine_candidates(model, batch, max_sweeps=0)
+        want = np.unique(batch, axis=0)
+        np.testing.assert_array_equal(refined, want.astype(np.int8))
+        np.testing.assert_array_equal(energies, model.evaluate_batch(want))
+
+    @pytest.mark.parametrize("max_sweeps", [0, 5])
+    def test_rejects_non_binary(self, max_sweeps):
+        model = random_qubo(4, 0.5, seed=7)
+        raw = np.array([[0.0, 1.0, 0.5, 1.0], [0.0, 1.0, 0.0, 1.0]])
+        with pytest.raises(QuboError, match="binary"):
+            refine_candidates(model, raw, max_sweeps=max_sweeps)

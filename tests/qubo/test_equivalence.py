@@ -20,6 +20,7 @@ from repro.graphs.generators import (
     ring_of_cliques,
 )
 from repro.graphs.graph import Graph
+from repro.graphs.lfr import lfr_graph
 from repro.qubo.builders import (
     DENSE_VARIABLE_LIMIT,
     build_community_qubo,
@@ -110,6 +111,16 @@ class TestDenseSparseEquivalence:
             dense.coupling_row_abs_sums(),
             np.abs(np.asarray(dense.coupling)).sum(axis=1),
         )
+
+    def test_coupling_row_abs_sums_blocked_bit_exact(self):
+        """Summed a block of rows at a time, equal to the whole |S|."""
+        graph, _ = lfr_graph(112, mixing=0.2, seed=8)
+        community = build_community_qubo(graph, 8, backend="dense").model
+        for dense in (community, random_qubo(150, 0.5, seed=4)):
+            np.testing.assert_array_equal(
+                dense.coupling_row_abs_sums(),
+                np.abs(dense.coupling).sum(axis=1),
+            )
 
 
 class TestCommunityBuilderEquivalence:

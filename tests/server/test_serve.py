@@ -345,6 +345,46 @@ class TestErrorMapping:
         assert stats["served"] == (stage == "reply")
         assert "Traceback" not in capfd.readouterr().err
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+    def test_read_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(api.SessionError, match="read_timeout"):
+            ReproServer(port=0, read_timeout=timeout, executor="thread")
+
+    def test_stalled_body_times_out_with_408(self, capfd):
+        """A client that stalls mid-body loses its slot, not the queue.
+
+        With one admission slot, the stalled client holds it until the
+        read timeout answers 408; the next well-formed request is then
+        served instead of shed.
+        """
+        graph, _ = ring_of_cliques(3, 4)
+        body = {
+            "graph": _graph_payload(graph),
+            "spec": {"solver": "greedy", "n_communities": 3, "seed": 0},
+        }
+        with _serving(
+            max_queue=1, executor="thread", read_timeout=0.2
+        ) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=30
+            ) as sock:
+                sock.sendall(
+                    b"POST /detect HTTP/1.0\r\nContent-Length: 100\r\n\r\n"
+                )
+                chunks = []
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+            head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+            status = _request(server.url + "/detect", body)[0]
+            stats = server.stats()["server"]
+        assert int(head.split()[1]) == 408
+        assert "0.2 s read timeout" in json.loads(payload)["error"]
+        assert status == 200
+        assert stats["errors"] == 1
+        assert stats["queue_depth"] == 0
+        assert stats["shed"] == 0
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_draining_returns_503(self):
         graph, _ = ring_of_cliques(3, 4)
         body = {"graph": _graph_payload(graph), "spec": QHD_SPEC}

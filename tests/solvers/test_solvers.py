@@ -201,6 +201,25 @@ class TestGreedy:
         gap = result.energy - exact.energy
         assert gap <= abs(exact.energy) * 0.1
 
+    def test_time_limit_status(self):
+        """An exhausted budget keeps the construct's 1-opt result only."""
+        model = random_qubo(60, 0.3, seed=12)
+        result = GreedySolver(
+            n_restarts=8, time_limit=1e-9, seed=0
+        ).solve(model)
+        x, energy, sweeps = local_search(model, greedy_construct(model))
+        assert result.status is SolverStatus.TIME_LIMIT
+        assert result.metadata == {"restarts": 1}
+        np.testing.assert_array_equal(result.x, x)
+        assert result.energy == energy
+        assert result.iterations == sweeps
+
+    def test_default_budget_runs_every_restart(self):
+        model = random_qubo(60, 0.3, seed=12)
+        result = GreedySolver(n_restarts=8, seed=0).solve(model)
+        assert result.status is SolverStatus.HEURISTIC
+        assert result.metadata == {"restarts": 8}
+
 
 class TestSimulatedAnnealing:
     def test_near_optimal_small(self):
