@@ -44,8 +44,8 @@ class LintConfig:
         Path fragments exempt from the object-graph-pickling ban.
     rep006_exempt:
         Path suffixes where ``repatch`` calls inside loops are the
-        delta engine's own cadence mechanism, not streaming code
-        hiding a per-iteration re-materialisation.
+        delta engine's own implementation, not streaming code hiding a
+        per-iteration re-materialisation.
     """
 
     disable: tuple[str, ...] = ()

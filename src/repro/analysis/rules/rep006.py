@@ -2,7 +2,7 @@
 
 The streaming pipeline re-materialises a live
 :class:`repro.qubo.delta.FlipDeltaState` against a patched model with
-``state.repatch(model)`` — a full (or row-restricted) field mat-vec.
+``state.repatch(model)`` — a full field mat-vec.
 Calling ``repatch`` *inside* an event loop hides that mat-vec behind
 every iteration, exactly the per-step recomputation REP001 bans for
 ``flip_delta``: per-event code must hoist the repatch into a per-batch
@@ -10,8 +10,7 @@ helper (as ``repro.api.stream`` does) so the cost is one visible
 re-materialisation per event batch, not a silent inner-loop rebuild.
 
 Only the delta engine itself (``LintConfig.rep006_exempt``, default
-``qubo/delta.py``) may loop around ``repatch`` — its cadence logic is
-the mechanism.
+``qubo/delta.py``), which defines ``repatch``, is exempt.
 """
 
 from __future__ import annotations

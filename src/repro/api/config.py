@@ -91,6 +91,10 @@ class Configurable:
     ) -> _C:
         """Instantiate from a config dict, rejecting unknown keys.
 
+        A constructor's ``TypeError`` or ``ValueError`` (a value of the
+        wrong type or out of range) is re-raised as :class:`ConfigError`
+        naming the class.
+
         Examples
         --------
         >>> from repro.solvers import GreedySolver
@@ -110,7 +114,13 @@ class Configurable:
                 f"unknown config keys for {cls.__name__}: {unknown}; "
                 f"known keys: {sorted(known)}"
             )
-        return cls(**cls._coerce_config(dict(config)))
+        config = cls._coerce_config(dict(config))
+        try:
+            return cls(**config)
+        except (TypeError, ValueError) as error:
+            raise ConfigError(
+                f"invalid config for {cls.__name__}: {error}"
+            ) from error
 
     def to_config(self) -> dict[str, Any]:
         """Serialise the instance back into a config dict.

@@ -22,6 +22,7 @@ from typing import Any
 
 from repro.exceptions import ReproError
 from repro.utils.serialization import to_jsonable
+from repro.utils.validation import check_integer
 
 
 class SpecError(ReproError):
@@ -48,10 +49,11 @@ class RunSpec:
         is not configurable through it).
     n_communities:
         Community count ``k`` for detection runs (optional for pure
-        QUBO solves).
+        QUBO solves); ``None`` or an integer ``>= 1``.
     seed:
         Run seed, injected into solver/detector configs that accept a
-        ``seed`` key and do not already set one.
+        ``seed`` key and do not already set one; ``None`` or an integer
+        ``>= 0``.
 
     Examples
     --------
@@ -85,6 +87,13 @@ class RunSpec:
                 "detector builds its own default solver and the config "
                 "would be silently dropped"
             )
+        for label, minimum in (("n_communities", 1), ("seed", 0)):
+            value = getattr(self, label)
+            if value is not None:
+                try:
+                    check_integer(value, label, minimum=minimum)
+                except (TypeError, ValueError) as error:
+                    raise SpecError(str(error)) from None
 
     # ------------------------------------------------------------------
     # Round-trips

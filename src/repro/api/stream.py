@@ -111,7 +111,7 @@ class _WarmModelState:
 
         The patch rewrites only the coefficient groups the batch can
         have changed (see :meth:`CommunityQuboPatcher.update`); the
-        single full-field ``repatch`` is required because every batch
+        ``repatch`` re-materialises every field because every batch
         moves the total weight ``2m``, which rescales all modularity
         couplings and null-model projections at once.
         """

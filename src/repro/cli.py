@@ -25,9 +25,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.api import RunSpec
+    from repro.graphs import Graph
 
 
 class _ListSolversAction(argparse.Action):
@@ -54,6 +58,34 @@ def _build_solver(name: str, seed: int | None, time_limit: float | None):
         return build_solver(name, seed=seed, time_limit=time_limit)
     except RegistryError as error:
         raise SystemExit(str(error)) from None
+
+
+def _load_graph(args: argparse.Namespace) -> Graph:
+    """Read ``--input``; a missing or malformed file exits in one line."""
+    from repro.exceptions import GraphError
+    from repro.graphs.io import read_edge_list
+
+    try:
+        graph = read_edge_list(args.input, weighted=args.weighted)
+    except (OSError, GraphError) as error:
+        raise SystemExit(str(error)) from None
+    print(
+        f"loaded {args.input}: {graph.n_nodes} nodes, "
+        f"{graph.n_edges} edges"
+    )
+    return graph
+
+
+def _load_spec(path: str) -> RunSpec:
+    """Read a ``--spec`` file; a missing or invalid one exits in one line."""
+    import repro.api as api
+
+    try:
+        return api.RunSpec.from_file(path)
+    except OSError as error:
+        raise SystemExit(str(error)) from None
+    except (ValueError, api.SpecError) as error:
+        raise SystemExit(f"{path}: invalid spec: {error}") from None
 
 
 def _print_result(graph, result, output, print_labels) -> None:
@@ -215,47 +247,41 @@ def _detect_repeated(
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     import repro.api as api
-    from repro.graphs.io import read_edge_list
 
-    graph = read_edge_list(args.input, weighted=args.weighted)
-    print(
-        f"loaded {args.input}: {graph.n_nodes} nodes, "
-        f"{graph.n_edges} edges"
-    )
-
-    if args.spec:
-        spec = _merge_spec_overrides(api.RunSpec.from_file(args.spec), args)
-    else:
-        if args.communities is None:
-            raise SystemExit(
-                "--communities is required (or provide it via --spec)"
-            )
-        # Build the solver once (warn-or-apply seed/time_limit
-        # threading), then lower it back to a {name, config} spec dict
-        # so the --artifact spec stays declarative and reloadable.
-        solver = _build_solver(
-            args.solver,
-            args.seed,
-            60.0 if args.time_limit is None else args.time_limit,
-        )
-        spec = api.RunSpec(
-            detector="qhd",
-            detector_config={
-                "direct_threshold": (
-                    1000
-                    if args.direct_threshold is None
-                    else args.direct_threshold
-                ),
-                "solver": api.solver_to_spec(solver),
-            },
-            solver=args.solver,
-            n_communities=args.communities,
-            seed=args.seed,
-        )
-    if spec.n_communities is None:
-        raise SystemExit("spec does not define n_communities")
-
+    graph = _load_graph(args)
     try:
+        if args.spec:
+            spec = _merge_spec_overrides(_load_spec(args.spec), args)
+        else:
+            if args.communities is None:
+                raise SystemExit(
+                    "--communities is required (or provide it via --spec)"
+                )
+            # Build the solver once (warn-or-apply seed/time_limit
+            # threading), then lower it back to a {name, config} spec
+            # dict so the --artifact spec stays declarative and
+            # reloadable.
+            solver = _build_solver(
+                args.solver,
+                args.seed,
+                60.0 if args.time_limit is None else args.time_limit,
+            )
+            spec = api.RunSpec(
+                detector="qhd",
+                detector_config={
+                    "direct_threshold": (
+                        1000
+                        if args.direct_threshold is None
+                        else args.direct_threshold
+                    ),
+                    "solver": api.solver_to_spec(solver),
+                },
+                solver=args.solver,
+                n_communities=args.communities,
+                seed=args.seed,
+            )
+        if spec.n_communities is None:
+            raise SystemExit("spec does not define n_communities")
         if args.repeat > 1:
             artifact = _detect_repeated(
                 api,
@@ -289,7 +315,11 @@ def _read_event_batches(path: str) -> list:
     import json
 
     batches = []
-    with open(path, encoding="utf-8") as handle:
+    try:
+        handle = open(path, encoding="utf-8")
+    except OSError as error:
+        raise SystemExit(str(error)) from None
+    with handle:
         for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -314,18 +344,16 @@ def _read_event_batches(path: str) -> list:
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     import repro.api as api
-    from repro.graphs.io import read_edge_list
 
-    graph = read_edge_list(args.input, weighted=args.weighted)
-    print(
-        f"loaded {args.input}: {graph.n_nodes} nodes, "
-        f"{graph.n_edges} edges"
-    )
-    spec = api.RunSpec.from_file(args.spec)
-    if args.communities is not None:
-        spec = spec.replace(n_communities=args.communities)
-    if args.seed is not None:
-        spec = spec.replace(seed=args.seed)
+    graph = _load_graph(args)
+    spec = _load_spec(args.spec)
+    try:
+        if args.communities is not None:
+            spec = spec.replace(n_communities=args.communities)
+        if args.seed is not None:
+            spec = spec.replace(seed=args.seed)
+    except api.SpecError as error:
+        raise SystemExit(str(error)) from None
     if spec.n_communities is None:
         raise SystemExit("spec does not define n_communities")
     batches = _read_event_batches(args.updates)

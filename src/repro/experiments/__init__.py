@@ -23,13 +23,6 @@ from repro.experiments.large_networks import (
     LargeNetworksReport,
     run_large_networks,
 )
-from repro.experiments.scaling import ScalingReport, run_scaling
-from repro.experiments.robustness import (
-    RobustnessReport,
-    rewire_edges,
-    run_robustness,
-)
-from repro.experiments.lfr_sweep import LfrSweepReport, run_lfr_sweep
 from repro.experiments.paper_report import (
     ReportScale,
     generate_paper_report,
@@ -57,11 +50,4 @@ __all__ = [
     "run_multilevel_ablation",
     "ReportScale",
     "generate_paper_report",
-    "ScalingReport",
-    "run_scaling",
-    "LfrSweepReport",
-    "run_lfr_sweep",
-    "RobustnessReport",
-    "rewire_edges",
-    "run_robustness",
 ]

@@ -50,14 +50,11 @@ on a private variant whose fields are materialised row by row
 (:func:`repro.solvers.greedy.local_search_rows`), so the batch matches
 one single-trajectory search per row bit for bit.
 
-Two conveniences round the engine off: the fused argmins
-(:meth:`FlipDeltaState.best_flip` / :meth:`BatchFlipDeltaState.best_flips`)
-evaluate the best single flip directly off the maintained fields into a
-state-owned scratch buffer — the tabu/greedy loops no longer allocate an
-O(n) ``deltas()`` copy per iteration — and an optional ``refresh_every``
-cadence (on both the single and the batched state) re-materialises the
-fields every that many accepted flips/flip rounds, so very long runs
-can bound their floating-point drift.
+The fused argmins (:meth:`FlipDeltaState.best_flip` /
+:meth:`BatchFlipDeltaState.best_flips`) evaluate the best single flip
+directly off the maintained fields into a state-owned scratch buffer,
+so the tabu/greedy loops allocate no O(n) ``deltas()`` copy per
+iteration.
 
 Solvers reach this engine through
 :func:`repro.solvers.base.flip_state`; see ``docs/architecture.md`` for
@@ -114,11 +111,11 @@ def _coupling_slots(model: BaseQubo) -> tuple:
 def _factor_slots(model: BaseQubo) -> tuple | None:
     """Factor arrays for the flip update, or ``None`` without factors.
 
-    Returns ``(alpha, row_indptr, row_indices, row_data, col_indptr,
-    col_indices, col_data, diagonal, row_layout, col_weights)`` — the
-    CSR rows for propagation, the CSC columns for touched-row lookup,
-    the cached diagonal for the self-coupling correction, the model's
-    cached :meth:`~repro.qubo.SparseQuboModel.factor_row_layout`, and
+    Returns ``(alpha, row_indices, row_data, col_indptr, col_indices,
+    diagonal, row_layout, col_weights)`` — the CSR rows for
+    propagation, the CSC columns for touched-row lookup, the cached
+    diagonal for the self-coupling correction, the model's cached
+    :meth:`~repro.qubo.SparseQuboModel.factor_row_layout`, and
     ``alpha_t f_ti`` per CSC entry.  The weights are formed here, once
     per bind, and never cached on the model, because
     :meth:`~repro.qubo.SparseQuboModel.patch` may replace both
@@ -130,31 +127,14 @@ def _factor_slots(model: BaseQubo) -> tuple | None:
     alpha, f_csr, f_csc, diag = factors
     return (
         alpha,
-        f_csr.indptr,
         f_csr.indices,
         f_csr.data,
         f_csc.indptr,
         f_csc.indices,
-        f_csc.data,
         diag,
         getattr(model, "factor_row_layout")(),
         alpha[f_csc.indices] * f_csc.data,
     )
-
-
-def _check_refresh_every(refresh_every: int | None) -> int | None:
-    """Validate a refresh cadence (positive int or ``None`` = never)."""
-    if refresh_every is None:
-        return None
-    if (
-        not isinstance(refresh_every, (int, np.integer))
-        or refresh_every < 1
-    ):
-        raise QuboError(
-            f"refresh_every must be a positive integer or None, "
-            f"got {refresh_every!r}"
-        )
-    return int(refresh_every)
 
 
 def _bind_model_slots(state: Any, model: BaseQubo) -> None:
@@ -175,12 +155,10 @@ def _bind_model_slots(state: Any, model: BaseQubo) -> None:
     else:
         (
             state._f_alpha,
-            state._f_row_indptr,
             state._f_row_indices,
             state._f_row_data,
             state._f_col_indptr,
             state._f_col_indices,
-            state._f_col_data,
             state._f_diag,
             state._f_layout,
             state._f_weights,
@@ -235,12 +213,6 @@ class FlipDeltaState:
     x:
         Binary starting assignment, length ``n_variables``; copied.
         Any entry other than 0 or 1 raises :class:`QuboError`.
-    refresh_every:
-        Optional cadence (accepted flips) at which the state
-        re-materialises its fields and energy from the model, bounding
-        the floating-point drift of very long runs to at most that many
-        incremental updates.  ``None`` (default) never refreshes — the
-        historical behaviour, and the bit-exact one.
 
     Notes
     -----
@@ -250,8 +222,7 @@ class FlipDeltaState:
     plus the full length of every factor row touching the bit.  The
     maintained fields drift from a fresh recomputation only at
     floating-point rounding level; :meth:`refresh` resynchronises them
-    exactly when a caller wants to pay the mat-vec (or pass
-    ``refresh_every`` to do so on a fixed cadence).
+    exactly when a caller wants to pay the mat-vec.
 
     Examples
     --------
@@ -267,9 +238,7 @@ class FlipDeltaState:
     True
     """
 
-    def __init__(
-        self, model: BaseQubo, x: ArrayLike, refresh_every: int | None = None
-    ) -> None:
+    def __init__(self, model: BaseQubo, x: ArrayLike) -> None:
         if not isinstance(model, BaseQubo):
             raise QuboError(
                 f"model must be a BaseQubo, got {type(model).__name__}"
@@ -284,7 +253,6 @@ class FlipDeltaState:
         self._x = vec
         # Flip signs 1 - 2x, exactly +-1 for binary x; flip negates one.
         self._sign = 1.0 - 2.0 * vec
-        self._refresh_every = _check_refresh_every(refresh_every)
         self._scratch = np.empty_like(vec)
         self._mask_scratch = np.empty(vec.shape, dtype=bool)
         _bind_model_slots(self, model)
@@ -325,11 +293,6 @@ class FlipDeltaState:
     def n_flips(self) -> int:
         """Accepted flips applied since construction."""
         return self._n_flips
-
-    @property
-    def refresh_every(self) -> int | None:
-        """Accepted-flip cadence of automatic refreshes (None = never)."""
-        return self._refresh_every
 
     @hot_path
     def delta(self, index: int) -> float:
@@ -410,11 +373,6 @@ class FlipDeltaState:
         self._sign[i] = -s
         self._energy += delta
         self._n_flips += 1
-        if (
-            self._refresh_every is not None
-            and self._n_flips % self._refresh_every == 0
-        ):
-            self.refresh()
         return delta
 
     def refresh(self) -> None:
@@ -429,26 +387,15 @@ class FlipDeltaState:
         ).copy()
         self._energy = float(self._model.evaluate(self._x))
 
-    def repatch(
-        self, model: BaseQubo, rows: ArrayLike | None = None
-    ) -> None:
-        """Rebind the state to a patched model, refreshing stale rows.
+    def repatch(self, model: BaseQubo) -> None:
+        """Rebind the state to a patched model and :meth:`refresh`.
 
         The streaming path patches a model's coefficients instead of
         rebuilding it (:meth:`repro.qubo.SparseQuboModel.patch`); this
         is the matching state-side operation.  The coupling and factor
         slots the flip updates read are rewired to ``model``, and the
-        maintained fields of ``rows`` are re-materialised from it.
-        Rows not listed keep their maintained values — by passing a
-        subset the caller asserts the patch left those rows'
-        coefficients untouched.  ``rows=None`` (the default)
-        re-materialises everything: one full :meth:`refresh`.
-
-        The restricted recompute replays the full mat-vec's per-row
-        accumulation (CSR mat-vecs are row-sequential), so on sparse
-        models the listed rows come out bit-exact against
-        :meth:`refresh`.  The running energy is always re-evaluated in
-        full — it has no row structure to exploit.
+        fields and energy are re-materialised from it at the current
+        assignment.
         """
         if not isinstance(model, BaseQubo):
             raise QuboError(
@@ -461,38 +408,7 @@ class FlipDeltaState:
             )
         self._model = model
         _bind_model_slots(self, model)
-        if rows is None:
-            self.refresh()
-            return
-        idx = np.asarray(rows, dtype=np.intp)
-        if idx.size:
-            self._fields[idx] = self._recompute_fields(idx)
-        self._energy = float(model.evaluate(self._x))
-
-    def _recompute_fields(self, rows: np.ndarray) -> np.ndarray:
-        """Exact recompute of the maintained fields for ``rows`` only."""
-        vec = self._x
-        if self._dense_rows is not None:
-            product = self._dense_rows[rows] @ vec
-        else:
-            product = np.asarray(self._model.coupling[rows] @ vec).ravel()
-        if self._f_alpha is not None:
-            n_factors = self._f_alpha.shape[0]
-            f_mat = sparse.csr_matrix(
-                (self._f_row_data, self._f_row_indices, self._f_row_indptr),
-                shape=(n_factors, vec.shape[0]),
-            )
-            transpose = sparse.csr_matrix(
-                (self._f_col_data, self._f_col_indices, self._f_col_indptr),
-                shape=(vec.shape[0], n_factors),
-            )
-            weighted = self._f_alpha * (f_mat @ vec)
-            projected = np.asarray(transpose[rows] @ weighted).ravel()
-            product = product + (projected - self._f_diag[rows] * vec[rows])
-        linear = np.asarray(
-            self._model.effective_linear, dtype=np.float64
-        )
-        return np.asarray(2.0 * product + linear[rows], dtype=np.float64)
+        self.refresh()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -522,15 +438,6 @@ class BatchFlipDeltaState:
     xs:
         Binary assignments, shape ``(batch, n_variables)``; copied.
         Any entry other than 0 or 1 raises :class:`QuboError`.
-    refresh_every:
-        Optional cadence, counted in accepted **flip rounds** (calls to
-        :meth:`flip`, each of which flips at most one bit per
-        trajectory), at which the whole batch re-materialises its
-        fields and energies from the model — the batched counterpart
-        of :class:`FlipDeltaState`'s knob, bounding the floating-point
-        drift of long batched descents to at most that many incremental
-        rounds.  ``None`` (default) never refreshes — the historical,
-        bit-exact behaviour.
 
     Examples
     --------
@@ -545,12 +452,7 @@ class BatchFlipDeltaState:
     True
     """
 
-    def __init__(
-        self,
-        model: BaseQubo,
-        xs: np.ndarray,
-        refresh_every: int | None = None,
-    ) -> None:
+    def __init__(self, model: BaseQubo, xs: np.ndarray) -> None:
         if not isinstance(model, BaseQubo):
             raise QuboError(
                 f"model must be a BaseQubo, got {type(model).__name__}"
@@ -565,7 +467,6 @@ class BatchFlipDeltaState:
         self._model = model
         self._x = batch
         self._sign = 1.0 - 2.0 * batch
-        self._refresh_every = _check_refresh_every(refresh_every)
         self.refresh()
         self._n_flips = 0
         self._scratch = np.empty_like(batch)
@@ -592,11 +493,6 @@ class BatchFlipDeltaState:
     def n_flips(self) -> int:
         """Accepted flip rounds applied since construction."""
         return self._n_flips
-
-    @property
-    def refresh_every(self) -> int | None:
-        """Flip-round cadence of automatic refreshes (None = never)."""
-        return self._refresh_every
 
     @property
     def descent_flips(self) -> np.ndarray:
@@ -766,11 +662,6 @@ class BatchFlipDeltaState:
         self._sign[rows, cols] = -signs
         self._energies[target] += deltas
         self._n_flips += 1
-        if (
-            self._refresh_every is not None
-            and self._n_flips % self._refresh_every == 0
-        ):
-            self.refresh()
         return deltas
 
     def refresh(self) -> None:
@@ -786,64 +677,6 @@ class BatchFlipDeltaState:
         self._energies = np.asarray(
             self._model.evaluate_batch(self._x), dtype=np.float64
         ).copy()
-
-    def repatch(
-        self, model: BaseQubo, rows: ArrayLike | None = None
-    ) -> None:
-        """Rebind the batch to a patched model, refreshing stale rows.
-
-        The batched counterpart of :meth:`FlipDeltaState.repatch`:
-        ``rows`` lists the variable indices whose coefficients the
-        patch touched, and only those columns of the ``(batch, n)``
-        fields are re-materialised, for every trajectory at once.
-        ``rows=None`` (the default) is one full :meth:`refresh`.  The
-        running energies are always re-evaluated in full.
-        """
-        if not isinstance(model, BaseQubo):
-            raise QuboError(
-                f"model must be a BaseQubo, got {type(model).__name__}"
-            )
-        if model.n_variables != self._x.shape[1]:
-            raise QuboError(
-                f"patched model must keep {self._x.shape[1]} variables, "
-                f"got {model.n_variables}"
-            )
-        self._model = model
-        _bind_model_slots(self, model)
-        if rows is None:
-            self.refresh()
-            return
-        idx = np.asarray(rows, dtype=np.intp)
-        if idx.size:
-            self._fields[:, idx] = self._recompute_fields(idx)
-        self._energies = np.asarray(
-            model.evaluate_batch(self._x), dtype=np.float64
-        ).copy()
-
-    def _recompute_fields(self, cols: np.ndarray) -> np.ndarray:
-        """Exact recompute of the maintained field columns ``cols``."""
-        batch = self._x
-        if self._dense_rows is not None:
-            product = batch @ self._dense_rows[:, cols]
-        else:
-            product = np.asarray(
-                self._model.coupling[cols].dot(batch.T)
-            ).T
-        if self._f_alpha is not None:
-            n_factors = self._f_alpha.shape[0]
-            transpose = sparse.csr_matrix(
-                (self._f_col_data, self._f_col_indices, self._f_col_indptr),
-                shape=(batch.shape[1], n_factors),
-            )
-            weighted = (batch @ transpose) * self._f_alpha
-            projected = np.asarray(transpose[cols] @ weighted.T).T
-            product = product + (
-                projected - batch[:, cols] * self._f_diag[cols]
-            )
-        linear = np.asarray(
-            self._model.effective_linear, dtype=np.float64
-        )
-        return np.asarray(2.0 * product + linear[cols], dtype=np.float64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -256,11 +256,10 @@ class QuboModel(BaseQubo):
         every one of the ``k`` groups, and the constant ``a`` couples
         ``(i, c)`` to ``(i, c')`` for ``c != c'``.  ``M`` (read-only)
         and ``a`` are the coupling's own entries, bit for bit.  Only
-        :func:`repro.qubo.build_community_qubo`'s dense assembly sets
-        it; every other constructor and every derived model
-        (:meth:`patch`, :meth:`scaled`, :meth:`negated`,
-        :meth:`with_offset`, :meth:`fix_variable`) returns ``None``.
-        The energies and fields of this class still read the dense
+        :func:`repro.qubo.build_community_qubo`'s dense assembly (and
+        the stream's dense patch, which is that assembly) sets it; a
+        model built through the constructor returns ``None``.  The
+        energies and fields of this class still read the dense
         coupling; :class:`repro.qhd.engine.EvolutionEngine` uses the
         terms for its mean-field fields.
 
@@ -333,93 +332,11 @@ class QuboModel(BaseQubo):
         return (1.0 - 2.0 * vec[index]) * field
 
     # ------------------------------------------------------------------
-    # Streaming patches
-    # ------------------------------------------------------------------
-    def patch(
-        self,
-        *,
-        coupling: np.ndarray | None = None,
-        effective_linear: np.ndarray | None = None,
-        offset: float | None = None,
-    ) -> "QuboModel":
-        """A new model with replacement canonical arrays spliced in.
-
-        Every argument left ``None`` is shared with this model
-        (instances are immutable, so sharing is safe), and nothing is
-        re-canonicalised
-        — ``coupling`` must already be symmetric with a zero diagonal
-        and ``effective_linear`` must already carry the folded
-        diagonal.  See
-        :class:`repro.qubo.streaming.CommunityQuboPatcher` for the
-        community-QUBO patcher that computes these arrays bit-exactly
-        versus a from-scratch rebuild.  The patched model carries no
-        :meth:`kronecker_terms`: a splice may break the structure.
-        """
-        n = self.n_variables
-        arr = self._coupling
-        if coupling is not None:
-            arr = np.asarray(coupling, dtype=np.float64)
-            if arr.shape != (n, n):
-                raise QuboError(
-                    f"patched coupling must have shape {(n, n)}, "
-                    f"got {arr.shape}"
-                )
-        linear = self._effective_linear
-        if effective_linear is not None:
-            linear = np.asarray(effective_linear, dtype=np.float64)
-            if linear.shape != (n,):
-                raise QuboError(
-                    f"patched effective_linear must have shape ({n},), "
-                    f"got {linear.shape}"
-                )
-        return type(self)._canonical(
-            arr, linear, self._offset if offset is None else offset
-        )
-
-    # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
     def to_dense(self) -> "QuboModel":
         """This model is already dense; returns itself."""
         return self
-
-    def scaled(self, factor: float) -> "QuboModel":
-        """A new model with all coefficients multiplied by ``factor``."""
-        if not np.isfinite(factor):
-            raise QuboError(f"factor must be finite, got {factor}")
-        return QuboModel(
-            self._coupling * factor,
-            self._effective_linear * factor,
-            self._offset * factor,
-        )
-
-    def negated(self) -> "QuboModel":
-        """The maximisation counterpart: ``E'(x) = -E(x)``."""
-        return self.scaled(-1.0)
-
-    def with_offset(self, offset: float) -> "QuboModel":
-        """Copy with a replacement offset."""
-        return QuboModel(self._coupling, self._effective_linear, offset)
-
-    def fix_variable(self, index: int, value: int) -> "QuboModel":
-        """Reduced QUBO with variable ``index`` fixed to ``value``.
-
-        Used by branch & bound: fixing ``x_i = v`` moves the couplings of
-        row/column ``i`` into the linear terms of the remaining variables.
-        """
-        if not 0 <= index < self.n_variables:
-            raise QuboError(f"index {index} outside 0..{self.n_variables-1}")
-        if value not in (0, 1):
-            raise QuboError(f"value must be 0 or 1, got {value}")
-        keep = [i for i in range(self.n_variables) if i != index]
-        coupling = self._coupling
-        new_q = coupling[np.ix_(keep, keep)].copy()
-        new_b = self._effective_linear[keep].copy()
-        new_offset = self._offset
-        if value == 1:
-            new_b = new_b + 2.0 * coupling[keep, index]
-            new_offset += float(self._effective_linear[index])
-        return QuboModel(new_q, new_b, new_offset)
 
     # ------------------------------------------------------------------
     # Exact reference

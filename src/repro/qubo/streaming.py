@@ -30,10 +30,9 @@ projections, so O(|E| k + n k) value work per batch is information-
 theoretically required — the savings over a rebuild are the skipped
 COO sorts, the skipped symmetrisation/folding passes and the reuse of
 the factor sparsity structure.  For the same reason the matching
-flip-delta refresh is a full :meth:`FlipDeltaState.repatch` (every
-maintained field depends on ``2m`` and on the degree projections);
-the row-restricted ``repatch(rows=...)`` form is for patches that
-leave the global terms alone.
+flip-delta refresh, :meth:`FlipDeltaState.repatch`, re-materialises
+every maintained field: each depends on ``2m`` and on the degree
+projections.
 
 The dense backend has no incremental structure to exploit — the null
 model densifies every community block — so its "patch" is the dense

@@ -113,9 +113,7 @@ class SolveResult:
         )
 
 
-def flip_state(
-    model: BaseQubo, x: np.ndarray, refresh_every: int | None = None
-) -> FlipDeltaState:
+def flip_state(model: BaseQubo, x: np.ndarray) -> FlipDeltaState:
     """Materialise the incremental flip-delta state for one trajectory.
 
     The shared entry point of every single-flip sweep loop (simulated
@@ -123,9 +121,7 @@ def flip_state(
     :class:`~repro.qubo.delta.FlipDeltaState` materialisation per
     restart, then O(coupling-row nnz) per accepted flip and O(1) per
     queried delta — instead of an O(nnz) ``model.flip_deltas`` mat-vec
-    per iteration.  ``refresh_every`` bounds the float drift of very
-    long runs by re-materialising the fields on that accepted-flip
-    cadence (``None`` = never, the bit-exact default).
+    per iteration.
 
     Examples
     --------
@@ -136,21 +132,16 @@ def flip_state(
     >>> state.flip(state.best_flip()[0])
     -1.0
     """
-    return FlipDeltaState(model, x, refresh_every=refresh_every)
+    return FlipDeltaState(model, x)
 
 
-def batch_flip_state(
-    model: BaseQubo, xs: np.ndarray, refresh_every: int | None = None
-) -> BatchFlipDeltaState:
+def batch_flip_state(model: BaseQubo, xs: np.ndarray) -> BatchFlipDeltaState:
     """Batched :func:`flip_state`: one trajectory per row of ``xs``.
 
     Used by the vectorised 1-opt descent behind the QHD refinement pass
-    (:func:`repro.solvers.greedy.local_search_batch`).  ``refresh_every``
-    re-materialises the whole population's fields every that many
-    accepted flip rounds, bounding floating-point drift on very long
-    batched descents (``None`` = never, the bit-exact default).
+    (:func:`repro.solvers.greedy.local_search_batch`).
     """
-    return BatchFlipDeltaState(model, xs, refresh_every=refresh_every)
+    return BatchFlipDeltaState(model, xs)
 
 
 class QuboSolver(Configurable, ABC):

@@ -34,11 +34,6 @@ class TabuSolver(QuboSolver):
     tenure:
         Iterations a flipped variable stays tabu; ``None`` selects
         ``max(10, n // 10)`` at solve time.
-    refresh_every:
-        Optional accepted-flip cadence at which the flip-delta state
-        re-materialises its fields from the model, bounding float drift
-        on very long runs.  ``None`` (default) never refreshes — the
-        bit-exact historical behaviour.
     time_limit:
         Optional wall-clock budget.
     """
@@ -49,7 +44,6 @@ class TabuSolver(QuboSolver):
         self,
         n_iterations: int = 2000,
         tenure: int | None = None,
-        refresh_every: int | None = None,
         time_limit: float | None = float("inf"),
         seed: SeedLike = None,
     ) -> None:
@@ -58,11 +52,6 @@ class TabuSolver(QuboSolver):
         )
         self.tenure = (
             None if tenure is None else check_integer(tenure, "tenure", minimum=1)
-        )
-        self.refresh_every = (
-            None
-            if refresh_every is None
-            else check_integer(refresh_every, "refresh_every", minimum=1)
         )
         self.time_limit = check_time_limit(time_limit)
         self._seed = seed
@@ -81,7 +70,7 @@ class TabuSolver(QuboSolver):
         # O(n) deltas() copy) and each accepted flip applies an
         # O(row nnz) incremental update instead of a fresh
         # model.flip_deltas mat-vec.
-        state = flip_state(model, x, refresh_every=self.refresh_every)
+        state = flip_state(model, x)
         energy = state.energy
         best_x = x.astype(np.int8)
         best_energy = energy

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.api import RunArtifact, RunSpec, SpecError
+import repro.api as api
+from repro.api import ConfigError, RunArtifact, RunSpec, SpecError
+from repro.graphs.generators import ring_of_cliques
 
 
 class TestRunSpec:
@@ -62,6 +64,41 @@ class TestRunSpec:
         spec = RunSpec(n_communities=2)
         assert spec.replace(n_communities=5).n_communities == 5
         assert spec.n_communities == 2
+
+
+class TestSpecValues:
+    """Malformed counts, seeds and solver configs fail as ReproErrors."""
+
+    @pytest.mark.parametrize("value", [0, -2, 2.5, "3", True])
+    def test_bad_n_communities_rejected(self, value):
+        with pytest.raises(SpecError, match="n_communities"):
+            RunSpec.from_dict({"n_communities": value})
+        with pytest.raises(SpecError, match="n_communities"):
+            RunSpec().replace(n_communities=value)
+
+    @pytest.mark.parametrize("value", ["x", -1, 1.5, True])
+    def test_bad_seed_rejected(self, value):
+        with pytest.raises(SpecError, match="seed"):
+            RunSpec.from_dict({"seed": value})
+        with pytest.raises(SpecError, match="seed"):
+            RunSpec().replace(seed=value)
+
+    @pytest.mark.parametrize(
+        "solver, config, owner",
+        [
+            ("greedy", {"n_restarts": 0}, "GreedySolver"),
+            ("greedy", {"n_restarts": 1.5}, "GreedySolver"),
+            ("qhd", {"n_steps": -3}, "QhdSolver"),
+        ],
+    )
+    def test_bad_solver_config_is_a_config_error(
+        self, solver, config, owner
+    ):
+        spec = RunSpec(
+            solver=solver, solver_config=config, n_communities=2, seed=0
+        )
+        with pytest.raises(ConfigError, match=owner):
+            api.detect(ring_of_cliques(3, 4)[0], spec)
 
 
 class TestRunArtifact:

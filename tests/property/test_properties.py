@@ -190,21 +190,6 @@ class TestQuboProperties:
         singles = [model.evaluate(x) for x in xs]
         np.testing.assert_allclose(batch, singles, atol=1e-9)
 
-    @given(qubo_models(), st.integers(min_value=0, max_value=7))
-    @settings(max_examples=40, deadline=None)
-    def test_fix_variable_consistent(self, model, raw_value):
-        index = raw_value % model.n_variables
-        value = raw_value % 2
-        reduced = model.fix_variable(index, value)
-        assert reduced.n_variables == model.n_variables - 1
-        x = np.zeros(model.n_variables)
-        x[index] = value
-        assert np.isclose(
-            reduced.evaluate(np.delete(x, index)),
-            model.evaluate(x),
-            atol=1e-9,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Encode/decode roundtrip

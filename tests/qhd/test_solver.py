@@ -145,7 +145,11 @@ class TestEnergyScale:
     def test_scale_invariance_of_solution(self):
         """Scaling all coefficients must not change the argmin found."""
         model = random_qubo(10, 0.4, seed=11)
-        big = model.scaled(1e4)
+        big = QuboModel(
+            np.asarray(model.coupling) * 1e4,
+            np.asarray(model.effective_linear) * 1e4,
+            model.offset * 1e4,
+        )
         a = fast_solver(seed=2).solve(model)
         b = fast_solver(seed=2).solve(big)
         np.testing.assert_array_equal(a.x, b.x)

@@ -23,7 +23,12 @@ from repro.graphs.coarsen import coarsen_to_threshold
 from repro.graphs.generators import ring_of_cliques
 from repro.graphs.graph import Graph
 from repro.graphs.lfr import lfr_graph
-from repro.qubo import CommunityQuboPatcher, QuboModel, build_community_qubo
+from repro.qubo import (
+    CommunityQuboPatcher,
+    QuboModel,
+    SparseQuboModel,
+    build_community_qubo,
+)
 from repro.qubo.builders import default_penalties
 
 
@@ -242,12 +247,7 @@ class TestKroneckerTerms:
         assert model.to_dense() is model
         derived = [
             QuboModel(np.asarray(model.coupling), model.effective_linear),
-            model.patch(offset=1.0),
-            model.patch(effective_linear=np.asarray(model.effective_linear)),
-            model.scaled(2.0),
-            model.negated(),
-            model.with_offset(3.0),
-            model.fix_variable(0, 1),
+            SparseQuboModel.from_dense(model).to_dense(),
         ]
         for other in derived:
             assert other.kronecker_terms() is None

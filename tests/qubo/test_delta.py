@@ -552,191 +552,11 @@ class TestBestFlip:
         assert state.n_flips == 0
 
 
-class TestRefreshCadence:
-    """Optional ``refresh_every`` bounds drift without changing results."""
-
-    @pytest.mark.parametrize("factory", MODEL_FACTORIES)
-    @pytest.mark.parametrize("cadence", [1, 7, 50])
-    def test_trajectory_invariant_under_refresh(self, factory, cadence):
-        """Same flips, same final assignment; fields exact at refresh."""
-        model = factory(0)
-        rng = np.random.default_rng(500)
-        n = model.n_variables
-        x0 = (rng.random(n) < 0.5).astype(np.float64)
-        flips = rng.integers(0, n, size=120)
-        plain = FlipDeltaState(model, x0)
-        refreshing = FlipDeltaState(model, x0, refresh_every=cadence)
-        assert refreshing.refresh_every == cadence
-        for var in flips:
-            plain.flip(int(var))
-            refreshing.flip(int(var))
-        np.testing.assert_array_equal(plain.x, refreshing.x)
-        # Post-refresh fields are *exactly* the model's recomputation.
-        if 120 % cadence == 0:
-            np.testing.assert_array_equal(
-                refreshing.deltas(), model.flip_deltas(refreshing.x)
-            )
-        np.testing.assert_allclose(
-            plain.deltas(), refreshing.deltas(), atol=1e-9
-        )
-
-    def test_drift_bounded_by_refresh(self):
-        """A refreshing state ends at least as close to the true fields."""
-        model = _random_factor_model(3)
-        rng = np.random.default_rng(501)
-        n = model.n_variables
-        x0 = (rng.random(n) < 0.5).astype(np.float64)
-        flips = rng.integers(0, n, size=400)
-        plain = FlipDeltaState(model, x0)
-        refreshing = FlipDeltaState(model, x0, refresh_every=10)
-        for var in flips:
-            plain.flip(int(var))
-            refreshing.flip(int(var))
-        truth = model.flip_deltas(plain.x)
-        drift_plain = np.abs(plain.deltas() - truth).max()
-        drift_refreshing = np.abs(refreshing.deltas() - truth).max()
-        assert drift_refreshing == 0.0  # 400 % 10 == 0: exact right now
-        assert drift_refreshing <= drift_plain
-
-    def test_energy_resynchronised(self):
-        model = _dense_model(4)
-        rng = np.random.default_rng(502)
-        n = model.n_variables
-        state = FlipDeltaState(
-            model,
-            (rng.random(n) < 0.5).astype(np.float64),
-            refresh_every=5,
-        )
-        for _ in range(25):
-            state.flip(int(rng.integers(n)))
-        assert state.energy == model.evaluate(state.x)
-
-    def test_invalid_cadence_rejected(self):
-        model = _dense_model(0)
-        with pytest.raises(QuboError, match="refresh_every"):
-            FlipDeltaState(model, np.zeros(model.n_variables), 0)
-        with pytest.raises(QuboError, match="refresh_every"):
-            FlipDeltaState(
-                model, np.zeros(model.n_variables), refresh_every=-3
-            )
-
-    def test_default_is_off(self):
-        model = _dense_model(0)
-        state = FlipDeltaState(model, np.zeros(model.n_variables))
-        assert state.refresh_every is None
-
-
-class TestBatchRefreshCadence:
-    """``refresh_every`` on the batched state: the PR-4 open item.
-
-    Long batched descents (the QHD refinement pass runs one) accumulate
-    one rank-one update per accepted flip round; the cadence bounds the
-    resulting float drift to at most ``refresh_every`` rounds without
-    changing which bits get flipped.
-    """
-
-    @staticmethod
-    def _random_rounds(rng, batch, n, rounds):
-        """Random (rows, cols) flip rounds, each touching a row subset."""
-        plans = []
-        for _ in range(rounds):
-            size = int(rng.integers(1, batch + 1))
-            rows = rng.choice(batch, size=size, replace=False)
-            cols = rng.integers(0, n, size=size)
-            plans.append((rows, cols))
-        return plans
-
-    @pytest.mark.parametrize("factory", MODEL_FACTORIES)
-    @pytest.mark.parametrize("cadence", [1, 7, 25])
-    def test_population_invariant_under_refresh(self, factory, cadence):
-        """Same flip rounds, same assignments; fields exact at refresh."""
-        model = factory(1)
-        rng = np.random.default_rng(600)
-        n = model.n_variables
-        batch = 6
-        x0 = (rng.random((batch, n)) < 0.5).astype(np.float64)
-        rounds = self._random_rounds(rng, batch, n, 75)
-        plain = BatchFlipDeltaState(model, x0)
-        refreshing = BatchFlipDeltaState(model, x0, refresh_every=cadence)
-        assert refreshing.refresh_every == cadence
-        for rows, cols in rounds:
-            plain.flip(rows, cols)
-            refreshing.flip(rows, cols)
-        assert refreshing.n_flips == 75
-        np.testing.assert_array_equal(plain.x, refreshing.x)
-        if 75 % cadence == 0:
-            # Post-refresh fields are *exactly* the model's recomputation.
-            np.testing.assert_array_equal(
-                refreshing.deltas(),
-                (1.0 - 2.0 * refreshing.x)
-                * np.asarray(model.local_fields_batch(refreshing.x)),
-            )
-            np.testing.assert_array_equal(
-                refreshing.energies, model.evaluate_batch(refreshing.x)
-            )
-        np.testing.assert_allclose(
-            plain.deltas(), refreshing.deltas(), atol=1e-9
-        )
-
-    @pytest.mark.parametrize("factory", MODEL_FACTORIES)
-    def test_drift_bounded_on_long_descent(self, factory):
-        """After many rounds the refreshing state stays near the truth."""
-        model = factory(2)
-        rng = np.random.default_rng(601)
-        n = model.n_variables
-        batch = 5
-        x0 = (rng.random((batch, n)) < 0.5).astype(np.float64)
-        rounds = self._random_rounds(rng, batch, n, 300)
-        plain = BatchFlipDeltaState(model, x0)
-        refreshing = BatchFlipDeltaState(model, x0, refresh_every=20)
-        for rows, cols in rounds:
-            plain.flip(rows, cols)
-            refreshing.flip(rows, cols)
-        truth_fields = np.asarray(model.local_fields_batch(plain.x))
-        truth_deltas = (1.0 - 2.0 * plain.x) * truth_fields
-        truth_energies = model.evaluate_batch(plain.x)
-        drift_plain = np.abs(plain.deltas() - truth_deltas).max()
-        drift_refreshing = np.abs(
-            refreshing.deltas() - truth_deltas
-        ).max()
-        # 300 % 20 == 0: the state is exactly resynchronised right now.
-        assert drift_refreshing == 0.0
-        assert drift_refreshing <= drift_plain
-        np.testing.assert_array_equal(refreshing.energies, truth_energies)
-
-    def test_batch_flip_state_helper_threads_cadence(self):
-        from repro.solvers.base import batch_flip_state
-
-        model = _dense_model(6)
-        state = batch_flip_state(
-            model, np.zeros((3, model.n_variables)), refresh_every=4
-        )
-        assert state.refresh_every == 4
-
-    def test_invalid_cadence_rejected(self):
-        model = _dense_model(0)
-        zeros = np.zeros((2, model.n_variables))
-        with pytest.raises(QuboError, match="refresh_every"):
-            BatchFlipDeltaState(model, zeros, refresh_every=0)
-        with pytest.raises(QuboError, match="refresh_every"):
-            BatchFlipDeltaState(model, zeros, refresh_every=-1)
-        with pytest.raises(QuboError, match="refresh_every"):
-            BatchFlipDeltaState(model, zeros, refresh_every=2.5)
-
-    def test_default_is_off(self):
-        model = _dense_model(0)
-        state = BatchFlipDeltaState(model, np.zeros((2, model.n_variables)))
-        assert state.refresh_every is None
-        assert state.n_flips == 0
-
-
 class TestRepatch:
     """``repatch``: re-anchor a live state to a patched model.
 
-    Full repatch (rows=None) must equal a fresh state on the new model
-    bit-exactly on every backend; rows-restricted repatch must be
-    bit-exact for the recomputed rows on the sparse backends (the
-    streaming pipeline's contract) and leave other rows untouched.
+    A repatched state must equal a fresh state on the new model
+    bit-exactly on every backend.
     """
 
     @pytest.mark.parametrize(
@@ -750,57 +570,18 @@ class TestRepatch:
         state = FlipDeltaState(model, x)
         for _ in range(5):
             state.flip(int(rng.integers(model.n_variables)))
-        patched = model.patch(
-            effective_linear=np.asarray(model.effective_linear) + 0.25
-        )
+        shifted = np.asarray(model.effective_linear) + 0.25
+        if isinstance(model, SparseQuboModel):
+            patched = model.patch(effective_linear=shifted)
+        else:
+            patched = QuboModel(
+                np.asarray(model.coupling), shifted, model.offset
+            )
         state.repatch(patched)
         reference = FlipDeltaState(patched, state.x)
         np.testing.assert_array_equal(state.deltas(), reference.deltas())
         assert state.energy == reference.energy
         assert state.model is patched
-
-    @pytest.mark.parametrize(
-        "factory", [_sparse_model, _factor_model, _random_factor_model]
-    )
-    def test_row_restricted_repatch_bit_exact_sparse(self, factory):
-        model = factory(seed=2)
-        rng = np.random.default_rng(3)
-        x = rng.integers(0, 2, size=model.n_variables).astype(np.float64)
-        state = FlipDeltaState(model, x)
-        rows = np.unique(
-            rng.integers(0, model.n_variables, size=4)
-        )
-        new_linear = np.asarray(model.effective_linear).copy()
-        new_linear[rows] += 1.5
-        patched = model.patch(effective_linear=new_linear)
-        state.repatch(patched, rows=rows)
-        reference = FlipDeltaState(patched, x)
-        np.testing.assert_array_equal(state.deltas(), reference.deltas())
-        assert state.energy == reference.energy
-
-    def test_row_restricted_repatch_dense_single_bit_exact(self):
-        model = _dense_model(seed=4)
-        rng = np.random.default_rng(5)
-        x = rng.integers(0, 2, size=model.n_variables).astype(np.float64)
-        state = FlipDeltaState(model, x)
-        rows = np.array([0, 7, 19])
-        new_linear = np.asarray(model.effective_linear).copy()
-        new_linear[rows] -= 2.0
-        patched = model.patch(effective_linear=new_linear)
-        state.repatch(patched, rows=rows)
-        reference = FlipDeltaState(patched, x)
-        np.testing.assert_array_equal(state.deltas(), reference.deltas())
-
-    def test_empty_rows_recomputes_energy_only(self):
-        model = _sparse_model(seed=6)
-        rng = np.random.default_rng(7)
-        x = rng.integers(0, 2, size=model.n_variables).astype(np.float64)
-        state = FlipDeltaState(model, x)
-        before = state.deltas().copy()
-        patched = model.patch(offset=model.offset + 3.0)
-        state.repatch(patched, rows=np.array([], dtype=np.intp))
-        np.testing.assert_array_equal(state.deltas(), before)
-        assert state.energy == float(patched.evaluate(x))
 
     def test_rejects_model_shape_mismatch(self):
         model = _dense_model(seed=8, n=16)
@@ -811,52 +592,6 @@ class TestRepatch:
             state.repatch(other)
         with pytest.raises(QuboError):
             state.repatch("not a model")
-
-    @pytest.mark.parametrize(
-        "factory", [_sparse_model, _factor_model, _random_factor_model]
-    )
-    def test_batch_full_and_row_restricted_sparse(self, factory):
-        model = factory(seed=9)
-        rng = np.random.default_rng(10)
-        batch = rng.integers(0, 2, size=(5, model.n_variables)).astype(
-            np.float64
-        )
-        state = BatchFlipDeltaState(model, batch)
-        patched = model.patch(
-            effective_linear=np.asarray(model.effective_linear) * 1.0
-        )
-        state.repatch(patched)
-        reference = BatchFlipDeltaState(patched, batch)
-        np.testing.assert_array_equal(state.deltas(), reference.deltas())
-        np.testing.assert_array_equal(state.energies, reference.energies)
-
-        cols = np.array([1, 3])
-        new_linear = np.asarray(model.effective_linear).copy()
-        new_linear[cols] += 0.75
-        patched = model.patch(effective_linear=new_linear)
-        state.repatch(patched, rows=cols)
-        reference = BatchFlipDeltaState(patched, batch)
-        np.testing.assert_array_equal(state.deltas(), reference.deltas())
-
-    def test_batch_dense_row_restricted_allclose(self):
-        # Dense batch row-restriction runs a GEMM on a column subset;
-        # BLAS blocking makes it allclose-level, not bit-exact (the
-        # full repatch above is exact — it re-materialises everything).
-        model = _dense_model(seed=11)
-        rng = np.random.default_rng(12)
-        batch = rng.integers(0, 2, size=(4, model.n_variables)).astype(
-            np.float64
-        )
-        state = BatchFlipDeltaState(model, batch)
-        cols = np.array([2, 9, 20])
-        new_linear = np.asarray(model.effective_linear).copy()
-        new_linear[cols] += 0.5
-        patched = model.patch(effective_linear=new_linear)
-        state.repatch(patched, rows=cols)
-        reference = BatchFlipDeltaState(patched, batch)
-        np.testing.assert_allclose(
-            state.deltas(), reference.deltas(), rtol=1e-12, atol=1e-12
-        )
 
 
 class TestFrozenKernelContract:
@@ -1120,20 +855,3 @@ class TestFlipsAfterFactorRepatch:
             assert state.flip(index) == fresh.flip(index)
         np.testing.assert_array_equal(state._fields, fresh._fields)
         assert state.energy == fresh.energy
-
-    @pytest.mark.parametrize("factory", FACTOR_FACTORIES)
-    def test_batch_state_flips_match_fresh_state(self, factory):
-        model = factory(6)
-        rng = np.random.default_rng(706)
-        n = model.n_variables
-        xs = (rng.random((3, n)) < 0.5).astype(np.float64)
-        state = BatchFlipDeltaState(model, xs)
-        patched = self._factor_patch(model)
-        state.repatch(patched)
-        fresh = BatchFlipDeltaState(patched, xs)
-        for _ in range(50):
-            cols = rng.integers(0, n, size=3)
-            state.flip(np.arange(3), cols)
-            fresh.flip(np.arange(3), cols)
-        np.testing.assert_array_equal(state._fields, fresh._fields)
-        np.testing.assert_array_equal(state.energies, fresh.energies)

@@ -245,6 +245,53 @@ class TestErrorMapping:
             assert status == 422
             assert server.stats()["server"]["errors"] == 3
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"n_communities": 0},
+            {"n_communities": -2},
+            {"n_communities": 2.5},
+            {"n_communities": "3"},
+            {"seed": "x"},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
+            {"solver_config": {"n_restarts": 0}},
+            {"solver_config": {"n_restarts": 1.5}},
+            {"solver": "qhd", "solver_config": {"n_steps": -3}},
+        ],
+        ids=[
+            "communities-0",
+            "communities-negative",
+            "communities-float",
+            "communities-string",
+            "seed-string",
+            "seed-negative",
+            "seed-float",
+            "seed-bool",
+            "restarts-0",
+            "restarts-float",
+            "qhd-steps-negative",
+        ],
+    )
+    def test_malformed_spec_values_422(self, spec):
+        graph, _ = ring_of_cliques(3, 4)
+        body = {
+            "graph": _graph_payload(graph),
+            "spec": {
+                "solver": "greedy",
+                "n_communities": 3,
+                "seed": 0,
+                **spec,
+            },
+        }
+        with _serving(max_queue=2, executor="thread") as server:
+            status, payload, _ = _request(server.url + "/detect", body)
+            stats = server.stats()["server"]
+        assert status == 422, payload
+        assert stats["errors"] == 1
+        assert stats["served"] == 0
+
     def test_missing_length_411_and_oversized_413(self):
         with _serving(
             max_queue=2, executor="thread", max_body_bytes=64

@@ -226,43 +226,3 @@ class TestLocalSearchEquivalence:
         for start, be in zip(starts, batch_e):
             _, single_e, _ = local_search(factor_model, start)
             assert be == pytest.approx(single_e, abs=1e-9)
-
-
-class TestTabuRefreshCadence:
-    """The optional refresh_every knob: deterministic, quality-par."""
-
-    def test_default_off_is_bit_exact(self, dense_model):
-        """refresh_every=None keeps the historical seeded trajectory."""
-        ref_x, ref_e = reference_tabu(dense_model, 1)
-        result = TabuSolver(n_iterations=N_ITERATIONS, seed=1).solve(
-            dense_model
-        )
-        assert result.metadata["tenure"] >= 1  # knob untouched
-        np.testing.assert_array_equal(result.x, ref_x)
-        assert result.energy == ref_e
-
-    @pytest.mark.parametrize("cadence", [1, 64])
-    def test_refreshing_run_deterministic(self, dense_model, cadence):
-        solver = TabuSolver(
-            n_iterations=N_ITERATIONS, refresh_every=cadence, seed=3
-        )
-        first = solver.solve(dense_model)
-        second = TabuSolver(
-            n_iterations=N_ITERATIONS, refresh_every=cadence, seed=3
-        ).solve(dense_model)
-        np.testing.assert_array_equal(first.x, second.x)
-        assert first.energy == second.energy
-
-    def test_refreshing_quality_par_with_reference(self, dense_model):
-        _, ref_e = reference_tabu(dense_model, 2)
-        result = TabuSolver(
-            n_iterations=N_ITERATIONS, refresh_every=32, seed=2
-        ).solve(dense_model)
-        scale = max(1.0, abs(ref_e))
-        assert result.energy <= ref_e + 0.05 * scale
-
-    def test_config_roundtrip(self):
-        solver = TabuSolver(n_iterations=50, refresh_every=128)
-        config = solver.to_config()
-        assert config["refresh_every"] == 128
-        assert TabuSolver.from_config(config).to_config() == config

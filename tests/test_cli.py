@@ -421,6 +421,107 @@ class TestStreamCommand:
         assert excinfo.value.code == 2
 
 
+class TestBadInputExitsInOneLine:
+    """Bad files and values end in a one-line message, not a traceback."""
+
+    @pytest.fixture
+    def paths(self, graph_file, tmp_path):
+        spec = {"detector": "direct", "solver": "greedy",
+                "n_communities": 3, "seed": 7}
+        files = {
+            "graph": graph_file,
+            "malformed": tmp_path / "malformed.txt",
+            "ok": tmp_path / "spec.json",
+            "bad": tmp_path / "bad.json",
+            "unknown": tmp_path / "unknown.json",
+            "events": tmp_path / "events.jsonl",
+            "missing": tmp_path / "missing",
+        }
+        files["malformed"].write_text("0 1\n2\n", encoding="utf-8")
+        files["ok"].write_text(json.dumps(spec), encoding="utf-8")
+        files["bad"].write_text("{not json", encoding="utf-8")
+        files["unknown"].write_text(
+            json.dumps({**spec, "bogus": 1}), encoding="utf-8"
+        )
+        files["events"].write_text(
+            json.dumps({"op": "insert", "u": 0, "v": 9}) + "\n",
+            encoding="utf-8",
+        )
+        return {name: str(path) for name, path in files.items()}
+
+    @staticmethod
+    def _one_line_exit(argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        # A string code exits with status 1 after printing it to stderr.
+        assert isinstance(message, str) and message
+        assert "\n" not in message
+        assert capsys.readouterr().err == ""
+        return message
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ("--input {missing} --communities 3", "No such file"),
+            ("--input {malformed} --communities 3", "two columns"),
+            ("--input {graph} --spec {missing}", "No such file"),
+            ("--input {graph} --spec {bad}", "invalid spec"),
+            ("--input {graph} --spec {unknown}", "unknown spec keys"),
+            ("--input {graph} --communities 0", "n_communities"),
+            ("--input {graph} --communities 3 --seed -1", "seed"),
+            ("--input {graph} --spec {ok} --communities 0", "n_communities"),
+            ("--input {graph} --spec {ok} --seed -1", "seed"),
+        ],
+        ids=[
+            "missing-input",
+            "malformed-input",
+            "missing-spec",
+            "non-json-spec",
+            "unknown-spec-key",
+            "communities-0",
+            "seed-negative",
+            "spec-communities-0",
+            "spec-seed-negative",
+        ],
+    )
+    def test_detect(self, paths, capsys, argv, expected):
+        argv = ["detect"] + argv.format(**paths).split()
+        assert expected in self._one_line_exit(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ("--input {missing} --spec {ok} --updates {events}",
+             "No such file"),
+            ("--input {graph} --spec {missing} --updates {events}",
+             "No such file"),
+            ("--input {graph} --spec {bad} --updates {events}",
+             "invalid spec"),
+            ("--input {graph} --spec {unknown} --updates {events}",
+             "unknown spec keys"),
+            ("--input {graph} --spec {ok} --updates {missing}",
+             "No such file"),
+            ("--input {graph} --spec {ok} --updates {events} "
+             "--communities 0", "n_communities"),
+            ("--input {graph} --spec {ok} --updates {events} --seed -1",
+             "seed"),
+        ],
+        ids=[
+            "missing-input",
+            "missing-spec",
+            "non-json-spec",
+            "unknown-spec-key",
+            "missing-updates",
+            "communities-0",
+            "seed-negative",
+        ],
+    )
+    def test_stream(self, paths, capsys, argv, expected):
+        argv = ["stream"] + argv.format(**paths).split()
+        assert expected in self._one_line_exit(argv, capsys)
+
+
 class TestBenchCommand:
     def test_unknown_experiment_exits(self):
         with pytest.raises(SystemExit, match="unknown experiment"):
