@@ -24,12 +24,19 @@ same moves.
 A third mode, ``restarts``, times :class:`~repro.solvers.GreedySolver`'s
 random-restart block both ways on the same seeded starts:
 ``sequential`` is one :func:`~repro.solvers.greedy.local_search` per
-start, ``batched`` is the one
-:func:`~repro.solvers.greedy.local_search_rows` descent the solver
-runs.  It checks that both return the same local minima and energies
-(exit status 1 otherwise), on a dense QUBO of the ``serve_detect``
-shape (LFR n=200, k=4) and a sparse one of the ``stream_updates``
-shape (LFR n=1000, k=8; 300 nodes under ``--quick``).
+start, ``batched`` is one
+:func:`~repro.solvers.greedy.local_search_rows` descent over them all.
+It checks that both return the same local minima and energies.  It
+then times ``GreedySolver().solve``, which descends only the starts
+that can still reach a one-hot assignment, records how many it kept,
+and checks each solve's ``x`` and energy against the unfiltered answer
+built from the public pieces: :func:`~repro.solvers.greedy.greedy_construct`
+and :func:`~repro.solvers.greedy.local_search`, then
+``local_search_rows`` over every drawn start and a strict ``<`` fold.
+Any mismatch exits with status 1.  The shapes are a dense QUBO of the
+``serve_detect`` shape (LFR n=200, k=4) and a sparse one of the
+``stream_updates`` shape (LFR n=1000, k=8; 300 nodes under
+``--quick``).
 
 Besides the usual text report it writes
 ``benchmarks/results/flip_delta.json`` (next to ``construction.json``)
@@ -46,7 +53,8 @@ with the shape::
      "restarts": [
         {"backend": ..., "n_nodes": ..., "n_variables": ...,
          "n_restarts": ..., "max_sweeps": ...,
-         "sequential_ms": ..., "batched_ms": ..., "speedup": ...}, ...]}
+         "sequential_ms": ..., "batched_ms": ..., "speedup": ...,
+         "solve_ms": ..., "kept_starts": [...]}, ...]}
 
 Run standalone with ``python benchmarks/bench_flip_delta.py [--quick]``
 (``--quick`` forces small instances for CI) or through pytest like the
@@ -108,10 +116,59 @@ def _time_restarts(model, starts, max_sweeps, rounds):
     return float(np.median(sequential)), float(np.median(batched))
 
 
+def _unfiltered_answer(model, n_restarts, max_sweeps, seed):
+    """``(x, energy)`` of a greedy solve that descends every drawn start."""
+    from repro.solvers.greedy import (
+        greedy_construct,
+        local_search,
+        local_search_rows,
+    )
+    from repro.utils.rng import ensure_rng
+
+    best_x, best_energy, _ = local_search(
+        model, greedy_construct(model), max_sweeps
+    )
+    starts = ensure_rng(seed).random((n_restarts - 1, model.n_variables))
+    xs, energies, _ = local_search_rows(model, starts < 0.5, max_sweeps)
+    for x, energy in zip(xs, energies.tolist()):
+        if energy < best_energy:
+            best_x, best_energy = x, energy
+    return best_x, best_energy
+
+
+def _time_solves(model, n_restarts, max_sweeps, rounds):
+    """Median ``GreedySolver.solve`` seconds and per-seed kept starts.
+
+    One solve per seed ``0..rounds-1``; raises unless each returns the
+    unfiltered answer.
+    """
+    from repro.solvers.greedy import GreedySolver
+
+    seconds, kept = [], []
+    for seed in range(rounds):
+        solver = GreedySolver(
+            n_restarts=n_restarts, max_sweeps=max_sweeps, seed=seed
+        )
+        start = time.perf_counter()
+        result = solver.solve(model)
+        seconds.append(time.perf_counter() - start)
+        kept.append(result.metadata["restarts"] - 1)
+        want_x, want_energy = _unfiltered_answer(
+            model, n_restarts, max_sweeps, seed
+        )
+        same_x = np.array_equal(result.x, want_x)
+        if not same_x or result.energy != want_energy:
+            raise RuntimeError(
+                f"GreedySolver seed {seed} differs from the unfiltered "
+                f"answer: energy {result.energy!r} vs {want_energy!r}"
+            )
+    return float(np.median(seconds)), kept
+
+
 def run_restarts(
     scale: float, n_restarts: int = 8, max_sweeps: int = 100
 ) -> list[dict]:
-    """Time the greedy restart block on the serve and stream shapes.
+    """Time the greedy restart block and solve on the serve and stream shapes.
 
     Both run on one BLAS thread, the budget a ``repro serve`` or
     ``repro stream`` worker gets on two cores; with more, the dense
@@ -138,6 +195,7 @@ def run_restarts(
             sequential, batched = _time_restarts(
                 model, starts, max_sweeps, 5
             )
+            solve, kept = _time_solves(model, n_restarts, max_sweeps, 5)
             rows.append(
                 {
                     "backend": backend,
@@ -148,6 +206,8 @@ def run_restarts(
                     "sequential_ms": sequential * 1e3,
                     "batched_ms": batched * 1e3,
                     "speedup": sequential / max(1e-12, batched),
+                    "solve_ms": solve * 1e3,
+                    "kept_starts": kept,
                 }
             )
     finally:
@@ -273,15 +333,19 @@ def report_text(report: dict) -> str:
     )
     lines += [
         "",
-        "greedy restart block, same starts (identical minima checked)",
+        "greedy restart block, same starts (identical minima checked),",
+        "and GreedySolver.solve (unfiltered answer checked)",
         f"{'backend':>7} {'n':>7} {'restarts':>8} {'sequential':>11} "
-        f"{'batched':>10} {'speedup':>8}",
+        f"{'batched':>10} {'speedup':>8} {'solve':>10} {'kept':>8}",
     ]
     for row in report["restarts"]:
+        drawn = (row["n_restarts"] - 1) * len(row["kept_starts"])
+        kept = f"{sum(row['kept_starts'])}/{drawn}"
         lines.append(
             f"{row['backend']:>7} {row['n_variables']:>7} "
             f"{row['n_restarts'] - 1:>8} {row['sequential_ms']:>9.2f}ms "
-            f"{row['batched_ms']:>8.2f}ms {row['speedup']:>7.2f}x"
+            f"{row['batched_ms']:>8.2f}ms {row['speedup']:>7.2f}x "
+            f"{row['solve_ms']:>8.2f}ms {kept:>8}"
         )
     return "\n".join(lines)
 

@@ -344,6 +344,7 @@ def _read_event_batches(path: str) -> list:
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     import repro.api as api
+    from repro.exceptions import GraphError
 
     graph = _load_graph(args)
     spec = _load_spec(args.spec)
@@ -384,6 +385,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             artifacts.append(artifact)
     except (api.RegistryError, api.SpecError, api.ConfigError) as error:
         raise SystemExit(str(error)) from None
+    except GraphError as error:
+        # A bad event fails its batch, the first one not yet printed.
+        raise SystemExit(f"batch {len(artifacts)}: {error}") from None
     finally:
         session.close()
     if args.artifact:

@@ -32,6 +32,24 @@ from repro.exceptions import GraphError
 #: Edge-event op -> internal code, in intra-batch application order.
 _EVENT_OPS: dict[str, int] = {"delete": 0, "reweight": 1, "insert": 2}
 
+#: Numbers an edge event may carry (``bool`` is excluded separately).
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _event_node(value: Any, event: Any) -> int:
+    """An edge event's endpoint as a node id: an integer or integral float.
+
+    ``bool``, strings and fractional numbers raise :class:`GraphError`
+    rather than being coerced to a node.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise GraphError(
+        f"edge event {event!r} has a non-integer endpoint {value!r}"
+    )
+
 
 def _check_n_nodes(n_nodes: int) -> int:
     if isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer)):
@@ -39,6 +57,28 @@ def _check_n_nodes(n_nodes: int) -> int:
     if n_nodes < 0:
         raise GraphError(f"n_nodes must be >= 0, got {n_nodes}")
     return int(n_nodes)
+
+
+def _node_ids(
+    u_col: np.ndarray, v_col: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint columns as int64 node ids; a fractional id raises.
+
+    One vectorised comparison of each converted column against its
+    source, so an id such as ``1.5`` is rejected instead of truncated
+    (and a NaN or infinite one, whose cast is undefined, likewise).
+    """
+    with np.errstate(invalid="ignore"):
+        u_arr = u_col.astype(np.int64, copy=False)
+        v_arr = v_col.astype(np.int64, copy=False)
+    fractional = (u_arr != u_col) | (v_arr != v_col)
+    if fractional.any():
+        bad = int(np.flatnonzero(fractional)[0])
+        raise GraphError(
+            f"edge ({u_col[bad]:g}, {v_col[bad]:g}) has a non-integer "
+            "node id"
+        )
+    return u_arr, v_arr
 
 
 def _readonly_triple(
@@ -202,8 +242,7 @@ class Graph:
             raise GraphError(
                 f"edges must be (u, v) or (u, v, w), got {edges[0]!r}"
             )
-        u_arr = arr[:, 0].astype(np.int64)
-        v_arr = arr[:, 1].astype(np.int64)
+        u_arr, v_arr = _node_ids(arr[:, 0], arr[:, 1])
         if arr.shape[1] == 3:
             w_arr = np.ascontiguousarray(arr[:, 2], dtype=np.float64)
         else:
@@ -254,8 +293,8 @@ class Graph:
         """
         graph = cls.__new__(cls)
         graph._n = _check_n_nodes(n_nodes)
-        u_arr = np.asarray(edge_u, dtype=np.int64)
-        v_arr = np.asarray(edge_v, dtype=np.int64)
+        u_arr = np.asarray(edge_u)
+        v_arr = np.asarray(edge_v)
         if edge_w is None:
             w_arr = np.ones(len(u_arr), dtype=np.float64)
         else:
@@ -265,6 +304,7 @@ class Graph:
                 "edge_u, edge_v and edge_w must have equal lengths, got "
                 f"{len(u_arr)}, {len(v_arr)}, {len(w_arr)}"
             )
+        u_arr, v_arr = _node_ids(u_arr, v_arr)
         if len(u_arr) == 0:
             empty_i = np.empty(0, dtype=np.int64)
             graph._edge_u = empty_i
@@ -618,9 +658,13 @@ class Graph:
                         f"reweight event {event!r} requires a weight"
                     )
                 w = 1.0
+            if isinstance(w, bool) or not isinstance(w, _REAL_TYPES):
+                raise GraphError(
+                    f"edge event {event!r} has a non-numeric weight {w!r}"
+                )
             kinds.append(code)
-            us.append(int(u))
-            vs.append(int(v))
+            us.append(_event_node(u, event))
+            vs.append(_event_node(v, event))
             ws.append(float(w))
 
         n = self._n

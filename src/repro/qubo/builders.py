@@ -291,7 +291,9 @@ def _build_dense(
     is byte-identical to assembling the raw Algorithm 1 matrix and
     canonicalising it through ``QuboModel(quadratic, linear, offset)``,
     without that path's two ``(nk, nk)`` temporaries.  The model records
-    its :meth:`~repro.qubo.QuboModel.kronecker_terms`.
+    its :meth:`~repro.qubo.QuboModel.kronecker_terms` and, when
+    ``lambda_assignment > 0``, its
+    :meth:`~repro.qubo.BaseQubo.one_hot_blocks`.
     """
     n, k = vmap.n_nodes, vmap.n_communities
     nk = vmap.n_variables
@@ -377,9 +379,12 @@ def _build_dense(
         and np.isfinite(offset)
     ):
         raise QuboError("community QUBO coefficients must be finite")
-    return QuboModel._canonical(
+    model = QuboModel._canonical(
         coupling, effective_linear, offset, kronecker=(n, k, m_block, pair)
     )
+    if lambda_assignment > 0:
+        model._one_hot_blocks = (n, k)
+    return model
 
 
 def _build_sparse(
@@ -397,7 +402,8 @@ def _build_sparse(
     assignment penalty (per node) and the balance penalty (per community)
     are all squared linear forms, so the explicit coupling matrix holds
     only ``O(|E| k)`` adjacency/cut entries and memory stays linear in
-    the instance instead of quadratic.
+    the instance instead of quadratic.  When ``lambda_assignment > 0``
+    the model records its :meth:`~repro.qubo.BaseQubo.one_hot_blocks`.
     """
     from scipy import sparse
 
@@ -524,4 +530,7 @@ def _build_sparse(
             np.concatenate(factor_beta),
         )
 
-    return SparseQuboModel(quadratic, None, 0.0, factors=factors)
+    model = SparseQuboModel(quadratic, None, 0.0, factors=factors)
+    if lambda_assignment > 0:
+        model._one_hot_blocks = (n, k)
+    return model

@@ -31,7 +31,9 @@ and fields are directly comparable across backends.  The dense
 community-QUBO builder writes that canonical form directly and also
 records the coupling's Kronecker block structure
 (:meth:`QuboModel.kronecker_terms`), which the QHD evolution engine
-uses for its mean-field fields.
+uses for its mean-field fields.  Both community builders record the
+Eq. 3 one-hot groups (:meth:`BaseQubo.one_hot_blocks`), which
+:class:`repro.solvers.GreedySolver` uses to skip hopeless restarts.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ class BaseQubo(ABC):
     ``tests/qubo/test_equivalence.py`` — so solvers can consume either
     interchangeably.
     """
+
+    #: Set only by the community-QUBO builders; see :meth:`one_hot_blocks`.
+    _one_hot_blocks: tuple[int, int] | None = None
 
     @property
     @abstractmethod
@@ -118,6 +123,28 @@ class BaseQubo(ABC):
         """
         vec = np.asarray(x, dtype=np.float64)
         return (1.0 - 2.0 * vec) * self.local_fields(vec)
+
+    def one_hot_blocks(self) -> tuple[int, int] | None:
+        """``(n_nodes, k)`` of the model's Eq. 3 groups, or ``None``.
+
+        When set, the energy carries ``λ_A (Σ_c x[i·k + c] − 1)²`` with
+        ``λ_A > 0`` for every node ``i`` over variables ``i·k + c``, so
+        a low-energy assignment picks exactly one ``c`` per node.  Only
+        :func:`repro.qubo.build_community_qubo`'s dense and sparse
+        assemblies set it (the stream's dense patch is that assembly,
+        and :meth:`~repro.qubo.SparseQuboModel.patch` carries it over);
+        a model built through a constructor, ``to_dense()`` or
+        ``from_dense()`` returns ``None``, like
+        :meth:`QuboModel.kronecker_terms`.
+        :class:`repro.solvers.GreedySolver` uses it to skip random
+        restarts that cannot reach a one-hot assignment.
+
+        Examples
+        --------
+        >>> QuboModel([[0.0, 1.0], [1.0, 0.0]]).one_hot_blocks() is None
+        True
+        """
+        return self._one_hot_blocks
 
     def coupling_row_abs_sums(self) -> np.ndarray:
         """Row sums of ``|S|`` (an upper bound per variable's coupling pull).

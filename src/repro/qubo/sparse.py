@@ -419,7 +419,8 @@ class SparseQuboModel(BaseQubo):
         structure (the transposed copy is rebuilt deterministically,
         the cached CSC stays lazy, and the cached
         :meth:`factor_row_layout` — a function of the structure alone —
-        is shared).
+        is shared).  The :meth:`one_hot_blocks` marker is carried over,
+        as the patched model keeps the variable layout and penalties.
 
         :class:`repro.qubo.streaming.CommunityQuboPatcher` computes
         these arrays from an edge-event batch so that the patched model
@@ -453,6 +454,7 @@ class SparseQuboModel(BaseQubo):
                 )
             model._effective_linear = linear
         model._offset = self._offset if offset is None else float(offset)
+        model._one_hot_blocks = self._one_hot_blocks
 
         model._factor_matrix = self._factor_matrix
         model._factor_matrix_t = self._factor_matrix_t

@@ -142,32 +142,49 @@ def local_search_rows(
     return result.astype(np.int8), energies, state.descent_flips.copy()
 
 
+def _one_hot_violations(
+    starts: np.ndarray, n_nodes: int, k: int
+) -> np.ndarray:
+    """``Σ_i |Σ_c x[i·k + c] − 1|`` per row: Eq. 3's violation count."""
+    counts = starts.reshape(len(starts), n_nodes, k).sum(axis=2)
+    return np.abs(counts - 1).sum(axis=1)
+
+
 @SOLVERS.register("greedy")
 class GreedySolver(QuboSolver):
     """Greedy construction + 1-opt local search with random restarts.
 
     The first restart is :func:`greedy_construct` followed by
     :func:`local_search`.  The other ``n_restarts - 1`` start from
-    uniformly random bitstrings, drawn in one call, and descend
-    together through :func:`local_search_rows`: the same local minima,
-    energies and sweep counts as one :func:`local_search` per start.
-    They are folded in order, and a restart replaces the incumbent
-    only when its energy is strictly lower.
+    uniformly random bitstrings, drawn in one call.  On a model with
+    :meth:`~repro.qubo.BaseQubo.one_hot_blocks` (a community QUBO),
+    only the starts whose Eq. 3 violation count
+    ``Σ_i |Σ_c x[i·k + c] − 1|`` is at most ``max_sweeps`` are kept:
+    one flip changes that count by at most one, so any other start
+    would end its descent still violating the exactly-one constraint.
+    On every other model all starts are kept.  The kept starts descend
+    together through :func:`local_search_rows` (the same local minima,
+    energies and sweep counts as one :func:`local_search` per start),
+    are folded in order, and replace the incumbent only when their
+    energy is strictly lower.
+
+    ``metadata["restarts"]`` counts the descents run, the construct's
+    included, and ``iterations`` sums their sweeps.
 
     Parameters
     ----------
     n_restarts:
-        Independent restarts (the first uses the greedy construction).
+        Restarts drawn (the first uses the greedy construction).
     max_sweeps:
         1-opt sweeps per restart.
     time_limit:
         Optional wall-clock budget, checked once after the first
         restart.  If it is exhausted by then, the random restarts are
         skipped and the result reports ``TIME_LIMIT`` with
-        ``metadata["restarts"] == 1``; otherwise every restart runs to
-        completion.  A budget that expires during the random restarts
-        does not stop them, so ``restarts`` is either 1 or
-        ``n_restarts``.
+        ``metadata["restarts"] == 1``; otherwise every kept restart
+        runs to completion and the result reports ``HEURISTIC``,
+        however many starts were not kept.  A budget that expires
+        during the random restarts does not stop them.
     """
 
     name = "greedy"
@@ -196,21 +213,25 @@ class GreedySolver(QuboSolver):
             model, best_x, self.max_sweeps
         )
         restarts_run = 1
-        if self.n_restarts > 1 and not budget.exhausted():
+        skipped = self.n_restarts > 1 and budget.exhausted()
+        if self.n_restarts > 1 and not skipped:
             starts = rng.random((self.n_restarts - 1, n)) < 0.5
-            xs, energies, sweeps = local_search_rows(
-                model, starts, self.max_sweeps
-            )
-            total_sweeps += int(sweeps.sum())
-            restarts_run = self.n_restarts
-            for x, energy in zip(xs, energies.tolist()):
-                if energy < best_energy:
-                    best_x, best_energy = x, energy
+            blocks = model.one_hot_blocks()
+            if blocks is not None:
+                violations = _one_hot_violations(starts, *blocks)
+                starts = starts[violations <= self.max_sweeps]
+            restarts_run += len(starts)
+            if len(starts):
+                xs, energies, sweeps = local_search_rows(
+                    model, starts, self.max_sweeps
+                )
+                total_sweeps += int(sweeps.sum())
+                for x, energy in zip(xs, energies.tolist()):
+                    if energy < best_energy:
+                        best_x, best_energy = x, energy
         watch.stop()
         status = (
-            SolverStatus.TIME_LIMIT
-            if restarts_run < self.n_restarts
-            else SolverStatus.HEURISTIC
+            SolverStatus.TIME_LIMIT if skipped else SolverStatus.HEURISTIC
         )
         return SolveResult(
             x=best_x,

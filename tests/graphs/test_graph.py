@@ -58,6 +58,28 @@ class TestConstruction:
         with pytest.raises(GraphError, match="must be"):
             Graph(2, [(0,)])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1.5)],
+            [(0, 1), (2.25, 1, 3.0)],
+            np.array([[0.0, 1.0], [1.0, 2.5]]),
+            [(0, float("nan"))],
+        ],
+        ids=["tuple", "weighted-tuple", "array", "nan"],
+    )
+    def test_rejects_fractional_node_ids(self, edges):
+        with pytest.raises(GraphError, match="non-integer node id"):
+            Graph(3, edges)
+
+    def test_integral_float_ids_are_nodes(self):
+        g = Graph(3, np.array([[0.0, 1.0], [1.0, 2.0]]))
+        assert sorted(g.edges()) == [(0, 1, 1.0), (1, 2, 1.0)]
+
+    def test_from_arrays_rejects_fractional_node_ids(self):
+        with pytest.raises(GraphError, match="non-integer node id"):
+            Graph.from_arrays(3, np.array([0.0]), np.array([1.5]))
+
     def test_from_arrays(self):
         g = Graph.from_arrays(
             3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0])

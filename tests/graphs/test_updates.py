@@ -126,3 +126,36 @@ class TestEventValidation:
         graph = Graph(3, [(0, 1)])
         with pytest.raises(GraphError):
             graph.apply_updates([{"op": "insert", "u": 0, "v": 1, "x": 2}])
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"op": "insert", "u": 1.5, "v": 2},
+            {"op": "insert", "u": 0, "v": 2.9},
+            ("delete", True, 1),
+            ("insert", 0, "2"),
+            ("insert", "x", 1),
+            ("insert", 0, float("nan")),
+        ],
+        ids=["fractional-u", "fractional-v", "bool", "numeric-string",
+             "string", "nan"],
+    )
+    def test_non_integer_endpoint_raises(self, event):
+        graph = Graph(3, [(0, 1)])
+        with pytest.raises(GraphError, match="non-integer endpoint"):
+            graph.apply_updates([event])
+
+    @pytest.mark.parametrize("weight", ["2.5", "abc", True, [1.0]])
+    def test_non_numeric_weight_raises(self, weight):
+        graph = Graph(3, [(0, 1)])
+        event = {"op": "reweight", "u": 0, "v": 1, "w": weight}
+        with pytest.raises(GraphError, match="non-numeric weight"):
+            graph.apply_updates([event])
+
+    def test_integral_numbers_are_nodes(self):
+        graph = Graph(3, [(0, 1)])
+        updated, touched = graph.apply_updates(
+            [("insert", np.int64(1), 2.0, np.float32(0.5))]
+        )
+        assert updated.edge_weight(1, 2) == 0.5
+        assert touched.tolist() == [1, 2]

@@ -7,12 +7,14 @@ from repro.community.modularity import modularity
 from repro.exceptions import QuboError
 from repro.graphs.generators import planted_partition_graph, ring_of_cliques
 from repro.graphs.graph import Graph
+from repro.qubo import CommunityQuboPatcher, QuboModel, SparseQuboModel
 from repro.qubo.builders import (
     VariableMap,
     build_community_qubo,
     default_penalties,
 )
 from repro.qubo.decode import labels_to_one_hot
+from repro.qubo.random_instances import random_qubo
 
 
 class TestVariableMap:
@@ -190,3 +192,45 @@ class TestBuildCommunityQubo:
         assert np.isclose(
             cq.modularity_of(x), modularity(tiny_graph, labels)
         )
+
+
+class TestOneHotBlocks:
+    """Only the community builders mark their Eq. 3 groups."""
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_both_backends_mark_nodes_by_communities(self, backend):
+        graph, _ = ring_of_cliques(3, 4)
+        model = build_community_qubo(graph, 3, backend=backend).model
+        assert model.one_hot_blocks() == (12, 3)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_no_assignment_penalty_no_marker(self, backend):
+        graph, _ = ring_of_cliques(3, 4)
+        qubo = build_community_qubo(
+            graph, 3, lambda_assignment=0.0, backend=backend
+        )
+        assert qubo.model.one_hot_blocks() is None
+
+    def test_other_models_carry_none(self):
+        graph, _ = ring_of_cliques(3, 4)
+        dense = build_community_qubo(graph, 3, backend="dense").model
+        sparse = build_community_qubo(graph, 3, backend="sparse").model
+        others = [
+            random_qubo(12, 0.5, seed=0),
+            QuboModel(np.asarray(dense.coupling), dense.effective_linear),
+            sparse.to_dense(),
+            SparseQuboModel.from_dense(dense),
+        ]
+        for model in others:
+            assert model.one_hot_blocks() is None
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_patcher_keeps_the_marker(self, backend):
+        graph, _ = ring_of_cliques(3, 4)
+        original = build_community_qubo(graph, 3, backend=backend)
+        patcher = CommunityQuboPatcher(original)
+        updated = patcher.update(
+            graph.apply_updates([("insert", 0, 7, 1.5)])[0]
+        )
+        assert updated.model is not original.model
+        assert updated.model.one_hot_blocks() == (12, 3)

@@ -292,6 +292,20 @@ class TestErrorMapping:
         assert stats["errors"] == 1
         assert stats["served"] == 0
 
+    def test_fractional_node_id_422(self):
+        """An edge ``[0, 1.5]`` is an invalid graph, not edge ``(0, 1)``."""
+        body = {
+            "graph": {"n_nodes": 3, "edges": [[0, 1.5], [1, 2]]},
+            "spec": {"solver": "greedy", "n_communities": 2, "seed": 0},
+        }
+        with _serving(max_queue=2, executor="thread") as server:
+            status, payload, _ = _request(server.url + "/detect", body)
+            stats = server.stats()["server"]
+        assert status == 422, payload
+        assert "non-integer node id" in payload["error"]
+        assert stats["errors"] == 1
+        assert stats["served"] == 0
+
     def test_missing_length_411_and_oversized_413(self):
         with _serving(
             max_queue=2, executor="thread", max_body_bytes=64

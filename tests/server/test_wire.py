@@ -84,6 +84,14 @@ class TestParseDetect:
         with pytest.raises(WireError, match=match):
             parse_detect_request(body)
 
+    @pytest.mark.parametrize(
+        "edges", [[[0, 1.5]], [[0, 1], [2.5, 1, 1.0]]], ids=["pair", "triple"]
+    )
+    def test_fractional_node_id_rejected(self, edges):
+        body = {"graph": {"n_nodes": 3, "edges": edges}, "spec": {}}
+        with pytest.raises(WireError, match="non-integer node id"):
+            parse_detect_request(body)
+
 
 class TestParseSolve:
     def test_round_trip(self):

@@ -521,6 +521,40 @@ class TestBadInputExitsInOneLine:
         argv = ["stream"] + argv.format(**paths).split()
         assert expected in self._one_line_exit(argv, capsys)
 
+    @pytest.mark.parametrize(
+        "event, expected",
+        [
+            ({"op": "bogus", "u": 0, "v": 1},
+             "batch 1: unknown edge-event op 'bogus'; known ops:"),
+            ({"op": "insert", "u": 0, "v": 15},
+             "batch 1: edge event (0, 15) references a node outside 0..14"),
+            ({"op": "insert", "u": 0, "v": 1.5},
+             "batch 1: edge event {'op': 'insert', 'u': 0, 'v': 1.5} has "
+             "a non-integer endpoint 1.5"),
+        ],
+        ids=["unknown-op", "node-out-of-range", "fractional-endpoint"],
+    )
+    def test_stream_bad_event(self, paths, tmp_path, capsys, event, expected):
+        """The bad batch ends the run in one line; earlier ones printed."""
+        updates = tmp_path / "bad-events.jsonl"
+        updates.write_text(
+            json.dumps({"op": "insert", "u": 0, "v": 9}) + "\n"
+            + json.dumps(event) + "\n",
+            encoding="utf-8",
+        )
+        argv = [
+            "stream", "--input", paths["graph"], "--spec", paths["ok"],
+            "--updates", str(updates),
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(expected)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].startswith("batch 0: modularity")
+
 
 class TestBenchCommand:
     def test_unknown_experiment_exits(self):
