@@ -39,17 +39,10 @@ def aggregate_graph(
         raise PartitionError(
             f"labels must have shape ({graph.n_nodes},), got {labels.shape}"
         )
-    unique = np.unique(labels)
-    remap = {int(label): i for i, label in enumerate(unique)}
-    mapping = np.asarray([remap[int(c)] for c in labels], dtype=np.int64)
-
+    unique, mapping = np.unique(labels, return_inverse=True)
     edge_u, edge_v, edge_w = graph.edge_arrays()
-    merged: dict[tuple[int, int], float] = {}
-    for u, v, w in zip(edge_u.tolist(), edge_v.tolist(), edge_w.tolist()):
-        cu, cv = int(mapping[u]), int(mapping[v])
-        key = (cu, cv) if cu <= cv else (cv, cu)
-        merged[key] = merged.get(key, 0.0) + float(w)
-    aggregate = Graph(
-        len(unique), [(u, v, w) for (u, v), w in merged.items()]
+    # Graph.from_arrays merges the parallel super-edges by summation.
+    aggregate = Graph.from_arrays(
+        len(unique), mapping[edge_u], mapping[edge_v], edge_w
     )
     return aggregate, mapping

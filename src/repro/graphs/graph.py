@@ -22,6 +22,7 @@ contributes ``2w`` to ``2m``).
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.exceptions import GraphError
 #: Edge-event op -> internal code, in intra-batch application order.
 _EVENT_OPS: dict[str, int] = {"delete": 0, "reweight": 1, "insert": 2}
 
-#: Numbers an edge event may carry (``bool`` is excluded separately).
+#: Numbers an edge or edge event may carry; ``bool`` is rejected on its own.
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
@@ -49,6 +50,28 @@ def _event_node(value: Any, event: Any) -> int:
     raise GraphError(
         f"edge event {event!r} has a non-integer endpoint {value!r}"
     )
+
+
+def _check_edge_entries(edges: list[Any]) -> None:
+    """Reject a bool, string or other non-number in an edge list.
+
+    One pass collects the entry types at C speed; only a failure walks
+    the edges again, to name the first offending entry.
+    """
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(edges)))
+    except TypeError:
+        raise GraphError("edges must be (u, v) or (u, v, w) tuples") from None
+    bad = {k for k in kinds if k is bool or not issubclass(k, _REAL_TYPES)}
+    if bad:
+        edge, pos, value = next(
+            (edge, pos, value)
+            for edge in edges
+            for pos, value in enumerate(edge)
+            if type(value) in bad
+        )
+        what = "non-integer node id" if pos < 2 else "non-numeric weight"
+        raise GraphError(f"edge {edge!r} has a {what} {value!r}")
 
 
 def _check_n_nodes(n_nodes: int) -> int:
@@ -81,6 +104,52 @@ def _node_ids(
     return u_arr, v_arr
 
 
+def _edge_columns(
+    edges: Iterable[Sequence[float]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge tuples or an ``(m, 2|3)`` array as ``(u, v, w)`` columns.
+
+    A list must hold numbers only (bools and strings raise) and becomes
+    one float64 array in a single conversion.  Missing weights are 1.0.
+    """
+    if isinstance(edges, np.ndarray):
+        arr = edges
+    else:
+        edges = list(edges)
+        _check_edge_entries(edges)
+        try:
+            arr = np.asarray(edges, dtype=np.float64)
+        except (ValueError, TypeError):
+            # Ragged input (mixed 2- and 3-tuples): pad to (u, v, w).
+            arr = np.asarray(
+                [
+                    (*item, 1.0) if len(item) == 2 else tuple(item)
+                    for item in edges
+                    if len(item) in (2, 3)
+                ],
+                dtype=np.float64,
+            )
+            if len(arr) != len(edges):
+                bad = next(e for e in edges if len(e) not in (2, 3))
+                raise GraphError(
+                    f"edges must be (u, v) or (u, v, w), got {bad!r}"
+                ) from None
+    if arr.size == 0:
+        arr = np.empty((0, 2))
+    elif arr.ndim != 2 or arr.shape[1] not in (2, 3):
+        if isinstance(edges, np.ndarray):
+            raise GraphError(
+                f"edges array must have shape (m, 2) or (m, 3), "
+                f"got {arr.shape}"
+            )
+        raise GraphError(
+            f"edges must be (u, v) or (u, v, w), got {edges[0]!r}"
+        )
+    if arr.shape[1] == 3:
+        return arr[:, 0], arr[:, 1], arr[:, 2]
+    return arr[:, 0], arr[:, 1], np.ones(len(arr), dtype=np.float64)
+
+
 def _readonly_triple(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,6 +160,40 @@ def _readonly_triple(
         view.flags.writeable = False
         views.append(view)
     return views[0], views[1], views[2]
+
+
+def _check_edges(
+    what: str,
+    n: int,
+    u_arr: np.ndarray,
+    v_arr: np.ndarray,
+    w_arr: np.ndarray,
+    weighted: np.ndarray | bool = True,
+) -> None:
+    """Raise :class:`GraphError` naming the first bad edge.
+
+    In order: an endpoint outside ``0..n-1``, then — among the
+    ``weighted`` entries — a non-finite weight, then a negative one.
+    """
+    checks = (
+        (
+            (u_arr < 0) | (u_arr >= n) | (v_arr < 0) | (v_arr >= n),
+            "references a node outside 0..{last}",
+        ),
+        (~np.isfinite(w_arr) & weighted, "has non-finite weight {w}"),
+        (
+            (w_arr < 0) & weighted,
+            "has negative weight {w}; only non-negative weights are "
+            "supported",
+        ),
+    )
+    for mask, problem in checks:
+        if mask.any():
+            bad = int(np.flatnonzero(mask)[0])
+            raise GraphError(
+                f"{what} ({int(u_arr[bad])}, {int(v_arr[bad])}) "
+                + problem.format(last=n - 1, w=float(w_arr[bad]))
+            )
 
 
 def _canonicalize_edge_arrays(
@@ -104,30 +207,7 @@ def _canonicalize_edge_arrays(
     Returns ``(u, v, w)`` with ``u <= v`` per edge, duplicate ``(u, v)``
     pairs merged by weight summation, and edges sorted by ``(u, v)``.
     """
-    if np.any((u_arr < 0) | (u_arr >= n) | (v_arr < 0) | (v_arr >= n)):
-        bad = np.flatnonzero(
-            (u_arr < 0) | (u_arr >= n) | (v_arr < 0) | (v_arr >= n)
-        )[0]
-        raise GraphError(
-            f"edge ({int(u_arr[bad])}, {int(v_arr[bad])}) references a "
-            f"node outside 0..{n - 1}"
-        )
-    finite = np.isfinite(w_arr)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)[0]
-        raise GraphError(
-            f"edge ({int(u_arr[bad])}, {int(v_arr[bad])}) has non-finite "
-            f"weight {float(w_arr[bad])}"
-        )
-    negative = w_arr < 0
-    if negative.any():
-        bad = np.flatnonzero(negative)[0]
-        raise GraphError(
-            f"edge ({int(u_arr[bad])}, {int(v_arr[bad])}) has negative "
-            f"weight {float(w_arr[bad])}; only non-negative weights are "
-            "supported"
-        )
-
+    _check_edges("edge", n, u_arr, v_arr, w_arr)
     lo = np.minimum(u_arr, v_arr)
     hi = np.maximum(u_arr, v_arr)
 
@@ -136,10 +216,7 @@ def _canonicalize_edge_arrays(
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     lo, hi, w_arr = lo[order], hi[order], w_arr[order]
-    unique_mask = np.empty(len(keys), dtype=bool)
-    unique_mask[0] = True
-    unique_mask[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(unique_mask)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
     merged_w = np.add.reduceat(w_arr, starts)
     return lo[starts], hi[starts], merged_w
 
@@ -186,68 +263,32 @@ class Graph:
         edges: Iterable[Sequence[float]] = (),
     ) -> None:
         self._n = _check_n_nodes(n_nodes)
-        edge_u, edge_v, edge_w = self._normalize_edges(edges)
-        self._edge_u = edge_u
-        self._edge_v = edge_v
-        self._edge_w = edge_w
-        self._build_csr()
+        self._assemble(*_edge_columns(edges))
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _normalize_edges(
-        self, edges: Iterable[Sequence[float]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonicalise edges: u <= v, merged duplicates, validated ids.
+    def _assemble(
+        self, u_col: np.ndarray, v_col: np.ndarray, w_col: np.ndarray
+    ) -> None:
+        """Canonicalise edge columns and build the CSR (both constructors).
 
-        Edge parsing converts the whole iterable to one ``(m, 2|3)``
-        array; validation and merging are pure vectorized array
-        operations (see :func:`_canonicalize_edge_arrays`).
+        Columns of bool, string or other non-number dtype raise before
+        any cast could coerce them.  Validation and merging are pure
+        vectorized array operations (see
+        :func:`_canonicalize_edge_arrays`).
         """
-        if isinstance(edges, np.ndarray):
-            arr = edges
-        else:
-            edges = list(edges)
-            if not edges:
-                empty_i = np.empty(0, dtype=np.int64)
-                empty_f = np.empty(0, dtype=np.float64)
-                return empty_i, empty_i.copy(), empty_f
-            try:
-                arr = np.asarray(edges, dtype=np.float64)
-            except (ValueError, TypeError):
-                # Ragged input (mixed 2- and 3-tuples): pad to (u, v, w).
-                arr = np.asarray(
-                    [
-                        (*item, 1.0) if len(item) == 2 else tuple(item)
-                        for item in edges
-                        if len(item) in (2, 3)
-                    ],
-                    dtype=np.float64,
-                )
-                if len(arr) != len(edges):
-                    bad = next(e for e in edges if len(e) not in (2, 3))
-                    raise GraphError(
-                        f"edges must be (u, v) or (u, v, w), got {bad!r}"
-                    ) from None
-        if arr.size == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            empty_f = np.empty(0, dtype=np.float64)
-            return empty_i, empty_i.copy(), empty_f
-        if arr.ndim != 2 or arr.shape[1] not in (2, 3):
-            if isinstance(edges, np.ndarray):
+        for col in (u_col, v_col, w_col):
+            if col.dtype.kind not in "iuf":
                 raise GraphError(
-                    f"edges array must have shape (m, 2) or (m, 3), "
-                    f"got {arr.shape}"
+                    "edge arrays must have an integer or float dtype, "
+                    f"got {col.dtype}"
                 )
-            raise GraphError(
-                f"edges must be (u, v) or (u, v, w), got {edges[0]!r}"
-            )
-        u_arr, v_arr = _node_ids(arr[:, 0], arr[:, 1])
-        if arr.shape[1] == 3:
-            w_arr = np.ascontiguousarray(arr[:, 2], dtype=np.float64)
-        else:
-            w_arr = np.ones(len(arr), dtype=np.float64)
-        return _canonicalize_edge_arrays(self._n, u_arr, v_arr, w_arr)
+        u_arr, v_arr = _node_ids(u_col, v_col)
+        self._edge_u, self._edge_v, self._edge_w = _canonicalize_edge_arrays(
+            self._n, u_arr, v_arr, w_col.astype(np.float64, copy=False)
+        )
+        self._build_csr()
 
     def _build_csr(self) -> None:
         """Build the symmetric CSR adjacency (rows sorted) and degrees."""
@@ -261,9 +302,11 @@ class Graph:
         counts = np.bincount(nu, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        # Lexsort on (row, column) leaves every CSR row sorted ascending,
-        # which is what makes has_edge/edge_weight binary searches.
-        order = np.lexsort((nv, nu))
+        # Sorting by the directed key row * n + column leaves every CSR
+        # row sorted ascending, which is what makes has_edge/edge_weight
+        # binary searches.  Canonical edges make every key distinct, so
+        # any sort gives the same permutation.
+        order = np.argsort(nu * n + nv)
         self._indptr = indptr
         self._indices = nv[order]
         self._weights = nw[order]
@@ -298,26 +341,13 @@ class Graph:
         if edge_w is None:
             w_arr = np.ones(len(u_arr), dtype=np.float64)
         else:
-            w_arr = np.asarray(edge_w, dtype=np.float64)
+            w_arr = np.asarray(edge_w)
         if not (len(u_arr) == len(v_arr) == len(w_arr)):
             raise GraphError(
                 "edge_u, edge_v and edge_w must have equal lengths, got "
                 f"{len(u_arr)}, {len(v_arr)}, {len(w_arr)}"
             )
-        u_arr, v_arr = _node_ids(u_arr, v_arr)
-        if len(u_arr) == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            graph._edge_u = empty_i
-            graph._edge_v = empty_i.copy()
-            graph._edge_w = np.empty(0, dtype=np.float64)
-        else:
-            eu, ev, ew = _canonicalize_edge_arrays(
-                graph._n, u_arr, v_arr, w_arr
-            )
-            graph._edge_u = eu
-            graph._edge_v = ev
-            graph._edge_w = ew
-        graph._build_csr()
+        graph._assemble(u_arr, v_arr, w_arr)
         return graph
 
     @classmethod
@@ -575,10 +605,12 @@ class Graph:
         """Apply a batch of edge events, returning a new graph.
 
         The graph itself stays immutable: the batch produces a fresh
-        :class:`Graph` (same canonical edge arrays and sorted-row CSR
-        invariants as direct construction) plus the sorted array of
-        *touched* node ids — the endpoints of every event, the rows
-        whose degrees/adjacency may have changed.
+        :class:`Graph` plus the sorted array of *touched* node ids — the
+        endpoints of every event, the rows whose degrees/adjacency may
+        have changed.  The new graph is :meth:`from_arrays` over the
+        surviving edges, then the reweights, then the inserts in
+        delivery order, so it is exactly what direct construction from
+        that edge list gives.
 
         Parameters
         ----------
@@ -678,29 +710,10 @@ class Graph:
         u_arr = np.asarray(us, dtype=np.int64)
         v_arr = np.asarray(vs, dtype=np.int64)
         w_arr = np.asarray(ws, dtype=np.float64)
-        out = (u_arr < 0) | (u_arr >= n) | (v_arr < 0) | (v_arr >= n)
-        if np.any(out):
-            bad = np.flatnonzero(out)[0]
-            raise GraphError(
-                f"edge event ({int(u_arr[bad])}, {int(v_arr[bad])}) "
-                f"references a node outside 0..{n - 1}"
-            )
+        # Deletes never reach from_arrays' bounds check, and an
+        # out-of-range key lo * n + hi could alias a real edge.
         adds = kind != _EVENT_OPS["delete"]
-        finite = np.isfinite(w_arr) | ~adds
-        if not finite.all():
-            bad = np.flatnonzero(~finite)[0]
-            raise GraphError(
-                f"edge event ({int(u_arr[bad])}, {int(v_arr[bad])}) has "
-                f"non-finite weight {float(w_arr[bad])}"
-            )
-        negative = (w_arr < 0) & adds
-        if negative.any():
-            bad = np.flatnonzero(negative)[0]
-            raise GraphError(
-                f"edge event ({int(u_arr[bad])}, {int(v_arr[bad])}) has "
-                f"negative weight {float(w_arr[bad])}; only non-negative "
-                "weights are supported"
-            )
+        _check_edges("edge event", n, u_arr, v_arr, w_arr, weighted=adds)
 
         lo = np.minimum(u_arr, v_arr)
         hi = np.maximum(u_arr, v_arr)
@@ -710,8 +723,7 @@ class Graph:
         # Deletes and reweights both evict the existing entry; reweights
         # re-add theirs with the new weight (set, not sum, semantics).
         reweight = kind == _EVENT_OPS["reweight"]
-        evict = np.isin(edge_keys, event_keys[~adds | reweight])
-        keep = ~evict
+        keep = ~np.isin(edge_keys, event_keys[~adds | reweight])
 
         rw_lo, rw_hi, rw_w = lo[reweight], hi[reweight], w_arr[reweight]
         if len(rw_lo):
@@ -722,201 +734,17 @@ class Graph:
             last = len(rw_keys) - 1 - rev_first
             rw_lo, rw_hi, rw_w = rw_lo[last], rw_hi[last], rw_w[last]
 
+        # from_arrays' stable merge folds each edge's inserts, in
+        # delivery order, onto its kept or reweighted entry.
         insert = kind == _EVENT_OPS["insert"]
-        updated = self._merged(
-            keep,
-            rw_lo,
-            rw_hi,
-            rw_w,
-            lo[insert],
-            hi[insert],
-            w_arr[insert],
+        updated = Graph.from_arrays(
+            n,
+            np.concatenate([self._edge_u[keep], rw_lo, lo[insert]]),
+            np.concatenate([self._edge_v[keep], rw_hi, hi[insert]]),
+            np.concatenate([self._edge_w[keep], rw_w, w_arr[insert]]),
         )
         touched = np.unique(np.concatenate([lo, hi]))
         return updated, touched
-
-    def _merged(
-        self,
-        keep: np.ndarray,
-        rw_lo: np.ndarray,
-        rw_hi: np.ndarray,
-        rw_w: np.ndarray,
-        in_lo: np.ndarray,
-        in_hi: np.ndarray,
-        in_w: np.ndarray,
-    ) -> "Graph":
-        """Assemble the post-batch graph by sorted-merge CSR surgery.
-
-        Produces exactly what ``Graph.from_arrays`` would on the
-        concatenated ``[kept, reweights, inserts]`` edge list — the
-        canonical arrays, CSR, degrees and total weight are bit-exact,
-        because duplicate-insert weights fold left-to-right in the same
-        order as the constructor's ``reduceat`` merge and degrees are
-        re-accumulated with the same ``bincount`` calls — but in
-        O(m + b log b) per batch instead of a fresh O(m log m) lexsort:
-        the canonical arrays are key-sorted, so the ``b`` changed
-        entries splice in by binary search and positional insert/delete.
-
-        ``keep`` masks the surviving existing edges; ``rw_*`` are the
-        deduplicated (last-wins) reweight entries, whose keys are
-        disjoint from the kept edges; ``in_*`` are the insert events in
-        delivery order.
-        """
-        n = self._n
-        k1_lo = self._edge_u[keep]
-        k1_hi = self._edge_v[keep]
-        w1 = self._edge_w[keep]
-        k1 = k1_lo * n + k1_hi
-
-        # Reweight entries splice into the kept (key-sorted) arrays.
-        if len(rw_lo):
-            rw_keys = rw_lo * n + rw_hi
-            order = np.argsort(rw_keys)
-            rw_keys = rw_keys[order]
-            rw_lo, rw_hi, rw_w = rw_lo[order], rw_hi[order], rw_w[order]
-            pos = np.searchsorted(k1, rw_keys)
-            k2 = np.insert(k1, pos, rw_keys)
-            k2_lo = np.insert(k1_lo, pos, rw_lo)
-            k2_hi = np.insert(k1_hi, pos, rw_hi)
-            w2 = np.insert(w1, pos, rw_w)
-        else:
-            rw_keys = np.empty(0, dtype=np.int64)
-            k2, k2_lo, k2_hi, w2 = k1, k1_lo, k1_hi, w1
-
-        # Insert events: group per key and fold weights left-to-right
-        # onto any existing entry, replicating the constructor's
-        # stable-sort + reduceat duplicate merge bit for bit.
-        upd_keys = np.empty(0, dtype=np.int64)
-        if len(in_lo):
-            in_keys = in_lo * n + in_hi
-            order = np.argsort(in_keys, kind="stable")
-            s_keys = in_keys[order]
-            s_lo, s_hi, s_w = in_lo[order], in_hi[order], in_w[order]
-            group = np.empty(len(s_keys), dtype=bool)
-            group[0] = True
-            group[1:] = s_keys[1:] != s_keys[:-1]
-            starts = np.flatnonzero(group)
-            u_keys = s_keys[starts]
-            pos = np.searchsorted(k2, u_keys)
-            hit = pos < len(k2)
-            hit[hit] = k2[pos[hit]] == u_keys[hit]
-            # Fold order per key: [existing value?, inserts...] — the
-            # exact sequence reduceat sees in the constructor.
-            ent_keys = np.concatenate([u_keys[hit], s_keys])
-            ent_rank = np.concatenate(
-                [
-                    np.full(int(hit.sum()), -1, dtype=np.int64),
-                    np.arange(len(s_keys), dtype=np.int64),
-                ]
-            )
-            ent_vals = np.concatenate([w2[pos[hit]], s_w])
-            fold_order = np.lexsort((ent_rank, ent_keys))
-            folded_keys = ent_keys[fold_order]
-            fold_group = np.empty(len(folded_keys), dtype=bool)
-            fold_group[0] = True
-            fold_group[1:] = folded_keys[1:] != folded_keys[:-1]
-            folded = np.add.reduceat(
-                ent_vals[fold_order], np.flatnonzero(fold_group)
-            )
-            w2 = w2.copy() if w2 is w1 else w2
-            w2[pos[hit]] = folded[hit]
-            new_pos = pos[~hit]
-            k3 = np.insert(k2, new_pos, u_keys[~hit])
-            k3_lo = np.insert(k2_lo, new_pos, s_lo[starts][~hit])
-            k3_hi = np.insert(k2_hi, new_pos, s_hi[starts][~hit])
-            w3 = np.insert(w2, new_pos, folded[~hit])
-            # Keys whose kept CSR entries change value in place: hits
-            # that landed on a kept edge rather than a reweight entry.
-            if len(rw_keys):
-                j = np.searchsorted(rw_keys, u_keys[hit])
-                in_rw = j < len(rw_keys)
-                in_rw[in_rw] = rw_keys[j[in_rw]] == u_keys[hit][in_rw]
-                upd_keys = u_keys[hit][~in_rw]
-            else:
-                upd_keys = u_keys[hit]
-        else:
-            k3, k3_lo, k3_hi, w3 = k2, k2_lo, k2_hi, w2
-            u_keys = np.empty(0, dtype=np.int64)
-            hit = np.empty(0, dtype=bool)
-
-        # Structural CSR changes: evicted edges leave, reweight entries
-        # and first-seen insert keys arrive (with their folded values).
-        rem_lo = self._edge_u[~keep]
-        rem_hi = self._edge_v[~keep]
-        add_keys = np.sort(np.concatenate([rw_keys, u_keys[~hit]]))
-        add_lo = add_keys // n
-        add_hi = add_keys % n
-        add_w = w3[np.searchsorted(k3, add_keys)]
-        upd_w = (
-            w3[np.searchsorted(k3, upd_keys)]
-            if len(upd_keys)
-            else np.empty(0, dtype=np.float64)
-        )
-
-        def directed(
-            lo: np.ndarray, hi: np.ndarray, w: np.ndarray
-        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Doubled (row, col, w) arrays sorted by directed key."""
-            loops = lo == hi
-            dr = np.concatenate([lo, hi[~loops]])
-            dc = np.concatenate([hi, lo[~loops]])
-            dw = np.concatenate([w, w[~loops]])
-            order = np.argsort(dr * n + dc)
-            return dr[order], dc[order], dw[order]
-
-        counts = np.diff(self._indptr)
-        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-        dkeys = rows * n + self._indices
-        weights = self._weights.copy()
-
-        if len(upd_keys):
-            v_lo, v_hi = upd_keys // n, upd_keys % n
-            vr, vc, vw = directed(v_lo, v_hi, upd_w)
-            weights[np.searchsorted(dkeys, vr * n + vc)] = vw
-
-        counts = counts.copy()
-        indices = self._indices
-        if len(rem_lo):
-            rr, rc, _ = directed(
-                rem_lo, rem_hi, np.empty(len(rem_lo), dtype=np.float64)
-            )
-            keep_mask = np.ones(len(dkeys), dtype=bool)
-            keep_mask[np.searchsorted(dkeys, rr * n + rc)] = False
-            dkeys = dkeys[keep_mask]
-            indices = indices[keep_mask]
-            weights = weights[keep_mask]
-            np.subtract.at(counts, rr, 1)
-        if len(add_keys):
-            ar, ac, aw = directed(add_lo, add_hi, add_w)
-            pos = np.searchsorted(dkeys, ar * n + ac)
-            indices = np.insert(indices, pos, ac)
-            weights = np.insert(weights, pos, aw)
-            np.add.at(counts, ar, 1)
-        elif len(rem_lo) == 0:
-            indices = indices.copy()
-            weights = weights.copy()
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-
-        updated = Graph.__new__(Graph)
-        updated._n = n
-        updated._edge_u = np.ascontiguousarray(k3_lo, dtype=np.int64)
-        updated._edge_v = np.ascontiguousarray(k3_hi, dtype=np.int64)
-        updated._edge_w = np.ascontiguousarray(w3, dtype=np.float64)
-        updated._indptr = indptr
-        updated._indices = indices
-        updated._weights = weights
-        # Same accumulation calls as _build_csr, on identical canonical
-        # arrays — degrees and total weight stay bit-exact.
-        degrees = np.bincount(
-            updated._edge_u, weights=updated._edge_w, minlength=n
-        )
-        degrees += np.bincount(
-            updated._edge_v, weights=updated._edge_w, minlength=n
-        )
-        updated._degrees = degrees
-        updated._total_weight = float(updated._edge_w.sum())
-        return updated
 
     # ------------------------------------------------------------------
     # Dunder methods

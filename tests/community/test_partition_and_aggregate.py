@@ -95,3 +95,39 @@ class TestAggregateGraph:
     def test_wrong_length(self, tiny_graph):
         with pytest.raises(PartitionError):
             aggregate_graph(tiny_graph, np.zeros(2, dtype=int))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dict_merge_reference(self, seed):
+        """Same super-edges as a per-edge dict merge, weights to rounding.
+
+        The reference sums each super-edge left to right; the vectorised
+        merge may sum a group pairwise, so weights agree within
+        ``m * eps`` relative, the bound for summing m positive terms in
+        any order.
+        """
+        rng = np.random.default_rng(seed)
+        graph, _ = planted_partition_graph(4, 30, 0.3, 0.05, seed=seed)
+        _, u, v, _ = graph.to_arrays()
+        graph = Graph.from_arrays(
+            graph.n_nodes, u, v, rng.uniform(0.5, 2.0, len(u))
+        )
+        labels = rng.choice([3, 8, 11, 20, 42], size=graph.n_nodes)
+        agg, mapping = aggregate_graph(graph, labels)
+
+        unique = sorted(set(labels.tolist()))
+        expected_mapping = [unique.index(c) for c in labels.tolist()]
+        merged: dict[tuple[int, int], float] = {}
+        for a, b, w in graph.edges():
+            ca, cb = sorted((expected_mapping[a], expected_mapping[b]))
+            merged[(ca, cb)] = merged.get((ca, cb), 0.0) + w
+        expected = sorted(merged.items())
+
+        assert mapping.tolist() == expected_mapping
+        assert agg.n_nodes == len(unique)
+        assert [(a, b) for a, b, _ in agg.edges()] == [e for e, _ in expected]
+        np.testing.assert_allclose(
+            [w for _, _, w in agg.edges()],
+            [w for _, w in expected],
+            rtol=graph.n_edges * np.finfo(np.float64).eps,
+            atol=0,
+        )

@@ -58,6 +58,10 @@ class TestConstruction:
         with pytest.raises(GraphError, match="must be"):
             Graph(2, [(0,)])
 
+    def test_rejects_non_sequence_edge(self):
+        with pytest.raises(GraphError, match="must be"):
+            Graph(2, [(0, 1), 5])
+
     @pytest.mark.parametrize(
         "edges",
         [
@@ -65,12 +69,34 @@ class TestConstruction:
             [(0, 1), (2.25, 1, 3.0)],
             np.array([[0.0, 1.0], [1.0, 2.5]]),
             [(0, float("nan"))],
+            [("0", "1"), (1, 2)],
+            [(True, 2), (1, 2)],
+            [(np.bool_(True), 2)],
         ],
-        ids=["tuple", "weighted-tuple", "array", "nan"],
+        ids=["tuple", "weighted-tuple", "array", "nan", "string", "bool",
+             "numpy-bool"],
     )
     def test_rejects_fractional_node_ids(self, edges):
         with pytest.raises(GraphError, match="non-integer node id"):
             Graph(3, edges)
+
+    @pytest.mark.parametrize("weight", ["2.5", True, None])
+    def test_rejects_non_numeric_weights(self, weight):
+        with pytest.raises(GraphError, match="non-numeric weight"):
+            Graph(3, [(0, 1), (1, 2, weight)])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [np.array([[True, False]]), np.array([["0", "1"]])],
+        ids=["bool", "string"],
+    )
+    def test_rejects_bool_and_string_arrays(self, edges):
+        with pytest.raises(GraphError, match="integer or float dtype"):
+            Graph(3, edges)
+
+    def test_numpy_scalars_are_numbers(self):
+        g = Graph(3, [(np.int64(0), np.float64(1.0)), (1, 2, np.float32(0.5))])
+        assert sorted(g.edges()) == [(0, 1, 1.0), (1, 2, 0.5)]
 
     def test_integral_float_ids_are_nodes(self):
         g = Graph(3, np.array([[0.0, 1.0], [1.0, 2.0]]))
@@ -79,6 +105,20 @@ class TestConstruction:
     def test_from_arrays_rejects_fractional_node_ids(self):
         with pytest.raises(GraphError, match="non-integer node id"):
             Graph.from_arrays(3, np.array([0.0]), np.array([1.5]))
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            (np.array([True]), np.array([False])),
+            (np.array(["0"]), np.array(["1"])),
+            ([0], [1], ["2.5"]),
+            ([0], [1], [True]),
+        ],
+        ids=["bool-ids", "string-ids", "string-weights", "bool-weights"],
+    )
+    def test_from_arrays_rejects_bool_and_string_arrays(self, arrays):
+        with pytest.raises(GraphError, match="integer or float dtype"):
+            Graph.from_arrays(3, *arrays)
 
     def test_from_arrays(self):
         g = Graph.from_arrays(

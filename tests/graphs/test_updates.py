@@ -159,3 +159,109 @@ class TestEventValidation:
         )
         assert updated.edge_weight(1, 2) == 0.5
         assert touched.tolist() == [1, 2]
+
+
+def _replay_on_dict(
+    graph: Graph, events: list
+) -> tuple[Graph, np.ndarray]:
+    """A batch replayed on a ``{(lo, hi): weights}`` edge model.
+
+    Deletes apply first, then the last reweight per edge, then inserts
+    in delivery order.  An edge's weight parts are summed the way
+    ``np.add.reduceat`` sums a group of at most 8 entries: the first
+    part plus the left-to-right sum of the rest.
+    """
+
+    def key(u: int, v: int) -> tuple[int, int]:
+        return (min(u, v), max(u, v))
+
+    parts = {(u, v): [w] for u, v, w in graph.edges()}
+    for op, u, v, _ in events:
+        if op == "delete":
+            parts.pop(key(u, v), None)
+    last = {key(u, v): w for op, u, v, w in events if op == "reweight"}
+    for edge, w in last.items():
+        parts[edge] = [w]
+    for op, u, v, w in events:
+        if op == "insert":
+            parts.setdefault(key(u, v), []).append(1.0 if w is None else w)
+
+    edges = []
+    for (u, v), ws in parts.items():
+        rest = 0.0
+        for w in ws[1:]:
+            rest += w
+        edges.append((u, v, ws[0] + rest if len(ws) > 1 else ws[0]))
+    touched = sorted({node for _, u, v, _ in events for node in (u, v)})
+    return Graph(graph.n_nodes, edges), np.asarray(touched, dtype=np.int64)
+
+
+def _random_batch(
+    rng: np.random.Generator, graph: Graph
+) -> list[tuple[str, int, int, float | None]]:
+    """0–12 mixed events, fewer than 8 on any one edge.
+
+    Endpoints come half from existing edges (either orientation) and
+    half uniformly (self-loops included), so duplicate inserts and
+    reweights, delete-then-reinsert and reweights of absent edges all
+    occur.  Insert weights are sometimes left to default.
+    """
+    n = graph.n_nodes
+    existing = list(graph.edges())
+    per_edge: dict[tuple[int, int], int] = {}
+    events = []
+    for _ in range(int(rng.integers(0, 13))):
+        if existing and rng.random() < 0.5:
+            u, v, _ = existing[int(rng.integers(len(existing)))]
+            if rng.random() < 0.5:
+                u, v = v, u
+        else:
+            u, v = (int(x) for x in rng.integers(0, n, size=2))
+        edge = (min(u, v), max(u, v))
+        if per_edge.get(edge, 0) == 7:
+            continue
+        per_edge[edge] = per_edge.get(edge, 0) + 1
+        op = ("insert", "delete", "reweight")[int(rng.integers(3))]
+        w: float | None = float(rng.uniform(0.1, 5.0))
+        if op == "delete" or (op == "insert" and rng.random() < 0.25):
+            w = None
+        events.append((op, u, v, w))
+    return events
+
+
+def _as_wire(event: tuple[str, int, int, float | None], as_dict: bool):
+    op, u, v, w = event
+    if as_dict:
+        return {"op": op, "u": u, "v": v, **({} if w is None else {"w": w})}
+    return (op, u, v) if w is None else (op, u, v, w)
+
+
+class TestRandomizedCrossCheck:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dict_edge_model(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            n = int(rng.integers(1, 8))
+            m = int(rng.integers(0, 2 * n + 1))
+            base = Graph(
+                n,
+                [
+                    (int(u), int(v), float(rng.uniform(0.1, 5.0)))
+                    for u, v in rng.integers(0, n, size=(m, 2))
+                ],
+            )
+            events = _random_batch(rng, base)
+            wire = [_as_wire(e, rng.random() < 0.5) for e in events]
+            updated, touched = base.apply_updates(wire)
+            expected, expected_touched = _replay_on_dict(base, events)
+
+            pairs = [
+                *zip(updated.edge_arrays(), expected.edge_arrays()),
+                *zip(updated.csr(), expected.csr()),
+                (updated.degrees, expected.degrees),
+                (touched, expected_touched),
+            ]
+            for got, want in pairs:
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            assert updated.total_weight == expected.total_weight

@@ -306,6 +306,24 @@ class TestErrorMapping:
         assert stats["errors"] == 1
         assert stats["served"] == 0
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[["0", "1"], [1, 2]], [[True, 2], [1, 2]], [[0, 1, "2.5"]]],
+        ids=["string-id", "bool-id", "string-weight"],
+    )
+    def test_bool_or_string_edge_entry_422(self, edges):
+        """JSON ``"0"`` or ``true`` is not coerced to a node or weight."""
+        body = {
+            "graph": {"n_nodes": 3, "edges": edges},
+            "spec": {"solver": "greedy", "n_communities": 2, "seed": 0},
+        }
+        with _serving(max_queue=2, executor="thread") as server:
+            status, payload, _ = _request(server.url + "/detect", body)
+            stats = server.stats()["server"]
+        assert status == 422, payload
+        assert stats["errors"] == 1
+        assert stats["served"] == 0
+
     def test_missing_length_411_and_oversized_413(self):
         with _serving(
             max_queue=2, executor="thread", max_body_bytes=64

@@ -85,11 +85,23 @@ class TestParseDetect:
             parse_detect_request(body)
 
     @pytest.mark.parametrize(
-        "edges", [[[0, 1.5]], [[0, 1], [2.5, 1, 1.0]]], ids=["pair", "triple"]
+        "edges",
+        [
+            [[0, 1.5]],
+            [[0, 1], [2.5, 1, 1.0]],
+            [["0", "1"], [1, 2]],
+            [[True, 2], [1, 2]],
+        ],
+        ids=["pair", "triple", "string", "bool"],
     )
     def test_fractional_node_id_rejected(self, edges):
         body = {"graph": {"n_nodes": 3, "edges": edges}, "spec": {}}
         with pytest.raises(WireError, match="non-integer node id"):
+            parse_detect_request(body)
+
+    def test_string_weight_rejected(self):
+        body = {"graph": {"n_nodes": 3, "edges": [[0, 1, "2.5"]]}, "spec": {}}
+        with pytest.raises(WireError, match="non-numeric weight"):
             parse_detect_request(body)
 
 
