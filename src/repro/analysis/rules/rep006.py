@@ -1,7 +1,7 @@
 """REP006 — repatch discipline in event loops (PR 8 contract).
 
 The streaming pipeline re-materialises a live
-:class:`repro.qubo.delta.FlipDeltaState` against a patched model with
+:class:`repro.qubo.delta.FlipDeltaState` against each batch's model with
 ``state.repatch(model)`` — a full field mat-vec.
 Calling ``repatch`` *inside* an event loop hides that mat-vec behind
 every iteration, exactly the per-step recomputation REP001 bans for

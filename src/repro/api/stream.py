@@ -3,21 +3,22 @@
 A stream is a sequence of **edge-event batches** applied to an evolving
 graph; after every batch the detection spec is re-run on the updated
 graph and one :class:`repro.api.RunArtifact` is yielded.  Three pieces
-of state stay warm across events instead of being rebuilt per batch:
+of state carry across events:
 
 * the **graph** advances through :meth:`repro.graphs.Graph.apply_updates`
   (vectorized CSR rebuild from canonical edge arrays, never a Python
   edge loop),
 * the **QUBO** advances through
-  :class:`repro.qubo.CommunityQuboPatcher` — per batch one coefficient
-  patch of the touched terms, never a from-scratch
-  :func:`repro.qubo.build_community_qubo`,
+  :class:`repro.qubo.CommunityQuboPatcher` — per batch one
+  :func:`repro.qubo.build_community_qubo` on the new graph with the
+  penalties pinned at the stream's first build, which writes canonical
+  form in one pass,
 * the **flip-delta state** advances through
   :meth:`repro.qubo.FlipDeltaState.repatch` — the maintained local
-  fields are re-materialised against the patched model while the
-  tracked assignment (the previous partition, one-hot) is kept, so a
-  greedy single-flip descent polishes the previous solution in QUBO
-  space before the detector runs.
+  fields are re-materialised against the new model while the tracked
+  assignment (the previous partition, one-hot) is kept, so a greedy
+  single-flip descent polishes the previous solution in QUBO space
+  before the detector runs.
 
 The polished labels are handed to the detector as
 ``initial_partition`` (see :meth:`DirectQuboDetector.detect`), so the
@@ -73,13 +74,13 @@ _MAX_DESCENT_FLIPS = 2
 
 
 class _WarmModelState:
-    """The incrementally maintained QUBO-space state of one stream.
+    """The QUBO-space state of one stream.
 
-    Owns the :class:`CommunityQuboPatcher` (built from one full
-    :func:`build_community_qubo` on the initial graph — the only
-    from-scratch model build of the stream) and, once a partition has
-    been observed, a :class:`FlipDeltaState` anchored at its one-hot
-    encoding.  Per event batch the model is patched, the state is
+    Owns the :class:`CommunityQuboPatcher`, built from one
+    :func:`build_community_qubo` on the initial graph that pins the
+    stream's penalties, and, once a partition has been observed, a
+    :class:`FlipDeltaState` anchored at its one-hot encoding.  Per
+    event batch the model is rebuilt with those penalties, the state is
     repatched, and a greedy descent polishes the tracked assignment.
     """
 
@@ -94,28 +95,28 @@ class _WarmModelState:
     def release(self) -> None:
         """Drop the patcher / model / flip-delta references.
 
-        Stream teardown: the QUBO, the patcher's coefficient scratch
-        and the flip-delta state's maintained fields are the stream's
-        warm memory — O(n·k) plus coupling-nnz arrays each.  Called
-        from the generator's ``finally`` so an abandoned stream (a
-        consumer that ``break``s, or an HTTP client that disconnects)
-        frees them deterministically instead of keeping them alive as
-        long as the suspended generator object exists.
+        Stream teardown: the QUBO and the flip-delta state's maintained
+        fields are the stream's warm memory — O(n·k) plus
+        coupling-nnz arrays each.  Called from the generator's
+        ``finally`` so an abandoned stream (a consumer that ``break``s,
+        or an HTTP client that disconnects) frees them
+        deterministically instead of keeping them alive as long as the
+        suspended generator object exists.
         """
         self._qubo = None
         self._patcher = None
         self._state = None
 
-    def advance(self, graph: Any, touched: np.ndarray) -> None:
-        """Patch the model to ``graph`` and re-materialise the state.
+    def advance(self, graph: Any) -> None:
+        """Rebuild the model on ``graph`` and re-materialise the state.
 
-        The patch rewrites only the coefficient groups the batch can
-        have changed (see :meth:`CommunityQuboPatcher.update`); the
-        ``repatch`` re-materialises every field because every batch
-        moves the total weight ``2m``, which rescales all modularity
-        couplings and null-model projections at once.
+        :meth:`CommunityQuboPatcher.update` builds the new model with
+        the pinned penalties; the ``repatch`` re-materialises every
+        field because every batch moves the total weight ``2m``, which
+        rescales all modularity couplings and null-model coefficients
+        at once.
         """
-        self._qubo = self._patcher.update(graph, touched_nodes=touched)
+        self._qubo = self._patcher.update(graph)
         if self._state is not None:
             self._state.repatch(self._qubo.model)
 
@@ -142,11 +143,14 @@ class _WarmModelState:
         )
 
     def track(self, labels: np.ndarray) -> None:
-        """Move the tracked assignment to ``labels`` by incremental flips.
+        """Anchor a fresh state at the one-hot encoding of ``labels``.
 
-        Labels outside ``0..k-1`` (possible with detectors that grow
-        their own label space) cannot be one-hot encoded; the
-        trajectory restarts from the next in-range partition instead.
+        The next :meth:`advance` repatches the state, which recomputes
+        its fields and energy from the assignment alone, so nothing is
+        carried over from the previous state.  Labels outside
+        ``0..k-1`` (possible with detectors that grow their own label
+        space) cannot be one-hot encoded; the trajectory restarts from
+        the next in-range partition instead.
         """
         from repro.qubo import FlipDeltaState, labels_to_one_hot
 
@@ -154,12 +158,9 @@ class _WarmModelState:
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self._k):
             self._state = None
             return
-        target = labels_to_one_hot(arr, self._k)
-        if self._state is None:
-            self._state = FlipDeltaState(self._qubo.model, target)
-            return
-        for index in np.nonzero(self._state.x != target)[0].tolist():
-            self._state.flip(int(index))
+        self._state = FlipDeltaState(
+            self._qubo.model, labels_to_one_hot(arr, self._k)
+        )
 
 
 def detect_stream(
@@ -247,7 +248,7 @@ def _stream(
             graph, touched = graph.apply_updates(events)
             warm: np.ndarray | None = None
             if model_state is not None:
-                model_state.advance(graph, touched)
+                model_state.advance(graph)
                 warm = model_state.warm_labels(graph)
                 if warm is None:
                     warm = previous

@@ -727,7 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "disable warm starts: run each batch cold instead of "
-            "patching the QUBO and seeding with the previous partition"
+            "seeding it with the previous partition, polished on the "
+            "stream's QUBO"
         ),
     )
     stream.add_argument("--weighted", action="store_true")

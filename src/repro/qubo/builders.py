@@ -31,9 +31,10 @@ shared :class:`repro.qubo.model.BaseQubo` interface:
   mean-field fields.  Coefficients are byte-identical to assembling
   the raw per-term matrix and canonicalising it.
 * ``backend="sparse"`` — a :class:`SparseQuboModel` whose explicit
-  couplings are only the adjacency/cut terms (COO triplets) while the
-  modularity null model and the Eq. 3/4 penalties are stored as low-rank
-  squared-linear-form factors, so nothing O((nk)^2) is ever allocated.
+  couplings are only the adjacency/cut terms, gathered in canonical CSR
+  straight from the graph's CSR, while the modularity null model and
+  the Eq. 3/4 penalties are stored as low-rank squared-linear-form
+  factors, so nothing O((nk)^2) is ever allocated.
 * ``backend="auto"`` (default) — :func:`select_backend` picks dense for
   small instances (``nk <= 2048``) and sparse beyond, unless the
   estimated stored-coefficient density exceeds 25% where sparse storage
@@ -395,142 +396,127 @@ def _build_sparse(
     modularity_weight: float,
     cut_weight: float,
 ) -> SparseQuboModel:
-    """Sparse Algorithm 1 assembly: COO triplets for the graph-structured
-    couplings, squared-linear-form factors for everything dense.
+    """Sparse Algorithm 1 assembly, written straight into canonical CSR.
 
-    The modularity null model ``+w1 d d^T / (2m)^2`` (per community), the
-    assignment penalty (per node) and the balance penalty (per community)
-    are all squared linear forms, so the explicit coupling matrix holds
-    only ``O(|E| k)`` adjacency/cut entries and memory stays linear in
-    the instance instead of quadratic.  When ``lambda_assignment > 0``
-    the model records its :meth:`~repro.qubo.BaseQubo.one_hot_blocks`.
+    The explicit coupling is the graph adjacency expanded by ``k``: row
+    ``i*k + c`` couples to ``j*k + c`` for every neighbour ``j != i``
+    with ``-w1 w_ij / 2m - w3 w_ij`` (active terms only), gathered from
+    the graph's sorted CSR rows, so it needs no sort and no
+    symmetrisation pass.  Exact zeros are dropped, and each self-loop's
+    ``-2 w1 w_ii / 2m`` (the doubled multigraph convention) folds into
+    the linear term.  The modularity null model ``+w1 d d^T / (2m)^2``
+    (per community), the assignment penalty (per node) and the balance
+    penalty (per community) are squared linear forms, written as factor
+    rows with ascending columns, so memory stays linear in the instance
+    instead of quadratic.  Every array is bit-identical to assembling
+    COO triplets and canonicalising them through
+    ``SparseQuboModel(quadratic, factors=...)``.  When
+    ``lambda_assignment > 0`` the model records its
+    :meth:`~repro.qubo.BaseQubo.one_hot_blocks`.
     """
     from scipy import sparse
 
     n, k = vmap.n_nodes, vmap.n_communities
     nk = vmap.n_variables
-    communities = np.arange(k)
+    communities = np.arange(k, dtype=np.int64)
+    two_m = 2.0 * graph.total_weight
+    modularity = two_m > 0 and modularity_weight > 0
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    # --- Coupling: the graph CSR expanded by k --------------------------
+    g_indptr, g_indices, g_weights = graph.csr()
+    row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(g_indptr))
+    loops = g_indices == row_of
+    vals: np.ndarray | None = None
+    if modularity:
+        vals = (-modularity_weight / two_m) * g_weights
+    if cut_weight > 0:
+        cut = -cut_weight * g_weights
+        vals = cut if vals is None else vals + cut
+    if vals is None:
+        vals = np.zeros_like(g_weights)
+    keep = ~loops & (vals != 0.0)
+    kcum = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kcum[1:])
+    kept_start = kcum[g_indptr[:-1]]
+    kept_per_node = kcum[g_indptr[1:]] - kept_start
+    kept_cols = np.asarray(g_indices[keep], dtype=np.int64)
+    kept_vals = vals[keep]
+    counts = np.repeat(kept_per_node, k)
+    indptr = np.zeros(nk + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    row_ids = np.repeat(np.arange(nk, dtype=np.int64), counts)
+    node = row_ids // k
+    comm = row_ids - node * k
+    gather = kept_start[node] + (
+        np.arange(int(indptr[-1]), dtype=np.int64) - indptr[row_ids]
+    )
+    coupling = sparse.csr_matrix(
+        (kept_vals[gather], kept_cols[gather] * k + comm, indptr),
+        shape=(nk, nk),
+    )
 
-    factor_alpha: list[np.ndarray] = []
-    factor_beta: list[np.ndarray] = []
-    factor_rows: list[np.ndarray] = []
+    linear = np.zeros(nk, dtype=np.float64)
+    if modularity and loops.any():
+        positions = (row_of[loops, None] * k + communities).ravel()
+        linear[positions] = np.repeat(
+            (-modularity_weight * 2.0 / two_m) * g_weights[loops], k
+        )
+
+    # --- Factor rows, in the order null model, assignment, balance ------
+    # Rows over one community's variables i*k + c, for c = 0..k-1.
+    community_cols = (
+        np.arange(n, dtype=np.int64)[None, :] * k + communities[:, None]
+    ).ravel()
+    row_sizes: list[np.ndarray] = []
     factor_cols: list[np.ndarray] = []
     factor_data: list[np.ndarray] = []
-    next_factor_row = 0
-    # Column layout of one community's variables: idx(i, c) = i*k + c.
-    stride_cols = (np.arange(n, dtype=np.int64)[None, :] * k).ravel()
-
-    edge_u, edge_v, edge_w = graph.edge_arrays()
-    off = edge_u != edge_v
-
-    two_m = 2.0 * graph.total_weight
-    if two_m > 0 and modularity_weight > 0:
-        # Adjacency part -w1 A'_uv / 2m on (u c, v c) for every community,
-        # mirrored so the canonical symmetric coupling matches the dense
-        # builder's block writes exactly.
-        if off.any():
-            iu = (edge_u[off, None] * k + communities).ravel()
-            iv = (edge_v[off, None] * k + communities).ravel()
-            value = np.repeat(
-                (-modularity_weight / two_m) * edge_w[off], k
-            )
-            rows += [iu, iv]
-            cols += [iv, iu]
-            vals += [value, value]
-        loops = ~off
-        if loops.any():
-            # Self-loop diagonal uses the doubled multigraph convention
-            # A'_uu = 2w; diagonal entries fold into the linear term.
-            lu = (edge_u[loops, None] * k + communities).ravel()
-            lval = np.repeat(
-                (-modularity_weight * 2.0 / two_m) * edge_w[loops], k
-            )
-            rows += [lu]
-            cols += [lu]
-            vals += [lval]
-        # Null model +w1 d d^T / (2m)^2 per community: one factor with
-        # coefficients d over that community's variables.
-        factor_rows.append(
-            np.repeat(np.arange(k, dtype=np.int64), n) + next_factor_row
-        )
-        factor_cols.append(
-            (stride_cols[None, :] + communities[:, None]).ravel()
-        )
+    alphas: list[np.ndarray] = []
+    betas: list[np.ndarray] = []
+    if modularity:
+        # +w1 (d . x_c)^2 / (2m)^2 per community c.
+        row_sizes.append(np.full(k, n))
+        factor_cols.append(community_cols)
         factor_data.append(np.tile(np.asarray(graph.degrees), k))
-        factor_alpha.append(
-            np.full(k, modularity_weight / (two_m * two_m))
-        )
-        factor_beta.append(np.zeros(k))
-        next_factor_row += k
-
+        alphas.append(np.full(k, modularity_weight / (two_m * two_m)))
+        betas.append(np.zeros(k))
     if lambda_assignment > 0:
         # lambda_A (sum_c x_ic - 1)^2 per node.
-        factor_rows.append(
-            np.repeat(np.arange(n, dtype=np.int64), k) + next_factor_row
-        )
+        row_sizes.append(np.full(n, k))
         factor_cols.append(np.arange(nk, dtype=np.int64))
         factor_data.append(np.ones(nk))
-        factor_alpha.append(np.full(n, lambda_assignment))
-        factor_beta.append(np.full(n, -1.0))
-        next_factor_row += n
-
+        alphas.append(np.full(n, lambda_assignment))
+        betas.append(np.full(n, -1.0))
     if lambda_balance > 0:
         # lambda_S (sum_i x_ic - n/k)^2 per community.
-        factor_rows.append(
-            np.repeat(np.arange(k, dtype=np.int64), n) + next_factor_row
-        )
-        factor_cols.append(
-            (stride_cols[None, :] + communities[:, None]).ravel()
-        )
+        row_sizes.append(np.full(k, n))
+        factor_cols.append(community_cols)
         factor_data.append(np.ones(nk))
-        factor_alpha.append(np.full(k, lambda_balance))
-        factor_beta.append(np.full(k, -n / k))
-        next_factor_row += k
-
-    if cut_weight > 0 and off.any():
-        iu = (edge_u[off, None] * k + communities).ravel()
-        iv = (edge_v[off, None] * k + communities).ravel()
-        # -cut_weight * w per ordered pair == -2 cut_weight * w on the
-        # unordered pair, matching the dense builder after symmetrisation.
-        value = np.repeat(-cut_weight * edge_w[off], k)
-        rows += [iu, iv]
-        cols += [iv, iu]
-        vals += [value, value]
-
-    if rows:
-        quadratic = sparse.coo_matrix(
-            (
-                np.concatenate(vals),
-                (np.concatenate(rows), np.concatenate(cols)),
-            ),
-            shape=(nk, nk),
-        )
-    else:
-        quadratic = sparse.coo_matrix((nk, nk), dtype=np.float64)
+        alphas.append(np.full(k, lambda_balance))
+        betas.append(np.full(k, -n / k))
 
     factors = None
-    if next_factor_row:
-        factor_matrix = sparse.coo_matrix(
+    if row_sizes:
+        sizes = np.concatenate(row_sizes)
+        factor_indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=factor_indptr[1:])
+        factor_matrix = sparse.csr_matrix(
             (
                 np.concatenate(factor_data),
-                (
-                    np.concatenate(factor_rows),
-                    np.concatenate(factor_cols),
-                ),
+                np.concatenate(factor_cols),
+                factor_indptr,
             ),
-            shape=(next_factor_row, nk),
+            shape=(sizes.size, nk),
         )
         factors = (
-            np.concatenate(factor_alpha),
-            factor_matrix,
-            np.concatenate(factor_beta),
+            np.concatenate(alphas), factor_matrix, np.concatenate(betas)
         )
 
-    model = SparseQuboModel(quadratic, None, 0.0, factors=factors)
+    model = SparseQuboModel._canonical(coupling, linear, 0.0, factors)
+    checked = [coupling.data, model.effective_linear, model.offset]
+    if factors is not None:
+        checked += [factors[0], factors[1].data]
+    if not all(np.all(np.isfinite(values)) for values in checked):
+        raise QuboError("community QUBO coefficients must be finite")
     if lambda_assignment > 0:
         model._one_hot_blocks = (n, k)
     return model

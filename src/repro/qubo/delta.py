@@ -117,9 +117,8 @@ def _factor_slots(model: BaseQubo) -> tuple | None:
     diagonal for the self-coupling correction, the model's cached
     :meth:`~repro.qubo.SparseQuboModel.factor_row_layout`, and
     ``alpha_t f_ti`` per CSC entry.  The weights are formed here, once
-    per bind, and never cached on the model, because
-    :meth:`~repro.qubo.SparseQuboModel.patch` may replace both
-    ``alpha`` and the factor data.
+    per bind; the stream binds each batch's freshly built model once,
+    through :meth:`FlipDeltaState.repatch`.
     """
     factors = _factor_terms_of(model)
     if factors is None:
@@ -388,14 +387,14 @@ class FlipDeltaState:
         self._energy = float(self._model.evaluate(self._x))
 
     def repatch(self, model: BaseQubo) -> None:
-        """Rebind the state to a patched model and :meth:`refresh`.
+        """Rebind the state to another model and :meth:`refresh`.
 
-        The streaming path patches a model's coefficients instead of
-        rebuilding it (:meth:`repro.qubo.SparseQuboModel.patch`); this
-        is the matching state-side operation.  The coupling and factor
-        slots the flip updates read are rewired to ``model``, and the
-        fields and energy are re-materialised from it at the current
-        assignment.
+        The streaming path rebuilds the community QUBO on every event
+        batch (:meth:`repro.qubo.CommunityQuboPatcher.update`) and
+        keeps the tracked assignment; this is the matching state-side
+        operation.  The coupling and factor slots the flip updates read
+        are rewired to ``model``, and the fields and energy are
+        re-materialised from it at the current assignment.
         """
         if not isinstance(model, BaseQubo):
             raise QuboError(

@@ -131,8 +131,7 @@ class BaseQubo(ABC):
         ``λ_A > 0`` for every node ``i`` over variables ``i·k + c``, so
         a low-energy assignment picks exactly one ``c`` per node.  Only
         :func:`repro.qubo.build_community_qubo`'s dense and sparse
-        assemblies set it (the stream's dense patch is that assembly,
-        and :meth:`~repro.qubo.SparseQuboModel.patch` carries it over);
+        assemblies set it (the stream's per-batch model is that build);
         a model built through a constructor, ``to_dense()`` or
         ``from_dense()`` returns ``None``, like
         :meth:`QuboModel.kronecker_terms`.
@@ -283,8 +282,8 @@ class QuboModel(BaseQubo):
         every one of the ``k`` groups, and the constant ``a`` couples
         ``(i, c)`` to ``(i, c')`` for ``c != c'``.  ``M`` (read-only)
         and ``a`` are the coupling's own entries, bit for bit.  Only
-        :func:`repro.qubo.build_community_qubo`'s dense assembly (and
-        the stream's dense patch, which is that assembly) sets it; a
+        :func:`repro.qubo.build_community_qubo`'s dense assembly (which
+        also builds the stream's per-batch dense model) sets it; a
         model built through the constructor returns ``None``.  The
         energies and fields of this class still read the dense
         coupling; :class:`repro.qhd.engine.EvolutionEngine` uses the

@@ -128,16 +128,7 @@ class SparseQuboModel(BaseQubo):
         diag = coupling.diagonal().copy()
         coupling = coupling - sparse.diags(diag)
         coupling.eliminate_zeros()
-        self._coupling = coupling.tocsr()
-        effective_linear = b + diag
-        offset = float(offset)
 
-        self._factor_matrix = None
-        self._factor_matrix_t = None
-        self._factor_matrix_csc = None
-        self._factor_row_layout: np.ndarray | None = None
-        self._factor_coefficients = None
-        self._factor_diagonal = None
         if factors is not None:
             coefficients, factor_matrix, constants = factors
             alpha = np.asarray(coefficients, dtype=np.float64)
@@ -159,6 +150,48 @@ class SparseQuboModel(BaseQubo):
                 and np.all(np.isfinite(f_mat.data))
             ):
                 raise QuboError("factors must contain only finite values")
+            factors = (alpha, f_mat, beta)
+        self._assign(coupling.tocsr(), b + diag, float(offset), factors)
+
+    @classmethod
+    def _canonical(
+        cls,
+        coupling: sparse.csr_matrix,
+        effective_linear: np.ndarray,
+        offset: float,
+        factors: tuple[np.ndarray, sparse.csr_matrix, np.ndarray] | None,
+    ) -> "SparseQuboModel":
+        """A model around arrays that are already in canonical form.
+
+        The sparse counterpart of :meth:`QuboModel._canonical`: nothing
+        is validated or re-symmetrised.  ``coupling`` must be the
+        symmetric zero-diagonal CSR with sorted rows and no stored
+        zeros, and ``effective_linear`` must carry its folded diagonal.
+        ``factors`` is ``None`` or float64 ``(alpha, matrix, beta)``
+        with ``matrix`` a CSR; its fold into ``effective_linear`` and
+        ``offset`` is the constructor's.
+        """
+        model: "SparseQuboModel" = cls.__new__(cls)
+        model._assign(coupling, effective_linear, offset, factors)
+        return model
+
+    def _assign(
+        self,
+        coupling: sparse.csr_matrix,
+        effective_linear: np.ndarray,
+        offset: float,
+        factors: tuple[np.ndarray, sparse.csr_matrix, np.ndarray] | None,
+    ) -> None:
+        """Store canonical arrays, folding ``factors`` in on the way."""
+        self._coupling = coupling
+        self._factor_matrix = None
+        self._factor_matrix_t = None
+        self._factor_matrix_csc = None
+        self._factor_row_layout: np.ndarray | None = None
+        self._factor_coefficients = None
+        self._factor_diagonal = None
+        if factors is not None:
+            alpha, f_mat, beta = factors
             # Canonicalise alpha_t (f_t.x + beta_t)^2 the way a dense
             # expansion would: diagonal alpha f_i^2 and linear
             # 2 alpha beta f_i fold into the effective linear, beta^2
@@ -166,9 +199,7 @@ class SparseQuboModel(BaseQubo):
             #     Phi(x) = sum_t alpha_t [ (f_t.x)^2 - sum_i f_ti^2 x_i^2 ]
             # which is exactly x^T (sum_t alpha_t (f f^T - diag(f^2))) x.
             squared = f_mat.multiply(f_mat)
-            factor_diag = np.asarray(
-                squared.T @ alpha
-            ).ravel()
+            factor_diag = np.asarray(squared.T @ alpha).ravel()
             effective_linear = (
                 effective_linear
                 + factor_diag
@@ -179,9 +210,8 @@ class SparseQuboModel(BaseQubo):
             self._factor_matrix_t = f_mat.T.tocsr()
             self._factor_coefficients = alpha
             self._factor_diagonal = factor_diag
-
         self._effective_linear = effective_linear
-        self._offset = offset
+        self._offset = float(offset)
 
     # ------------------------------------------------------------------
     # Accessors (mirroring QuboModel)
@@ -273,9 +303,8 @@ class SparseQuboModel(BaseQubo):
         progression: null-model and balance rows step by ``k``,
         assignment rows by 1.
 
-        The layout depends on the sparsity structure only, so it is
-        built lazily once and shared by :meth:`patch`, which never
-        changes that structure.
+        The layout depends on the sparsity structure only; it is built
+        lazily, once per model.
         """
         if self._factor_matrix is None:
             return None
@@ -391,124 +420,6 @@ class SparseQuboModel(BaseQubo):
             ) - float(self._factor_diagonal[index]) * float(vec[index])
             field += 2.0 * factor_field
         return (1.0 - 2.0 * vec[index]) * field
-
-    # ------------------------------------------------------------------
-    # Streaming patches
-    # ------------------------------------------------------------------
-    def patch(
-        self,
-        *,
-        coupling: sparse.csr_matrix
-        | tuple[np.ndarray, np.ndarray, np.ndarray]
-        | None = None,
-        effective_linear: np.ndarray | None = None,
-        offset: float | None = None,
-        factor_data: np.ndarray | None = None,
-        factor_coefficients: np.ndarray | None = None,
-        factor_diagonal: np.ndarray | None = None,
-    ) -> "SparseQuboModel":
-        """A new model with replacement canonical arrays spliced in.
-
-        Every argument left ``None`` is *shared* with this model
-        (instances are immutable, so sharing is safe), and nothing is
-        re-canonicalised.  ``coupling``
-        must already be the symmetric zero-diagonal CSR with explicit
-        zeros eliminated; ``effective_linear``/``offset`` must already
-        carry the folded diagonal and factor parts; ``factor_data``
-        replaces the factor matrix's data over its *unchanged* sparsity
-        structure (the transposed copy is rebuilt deterministically,
-        the cached CSC stays lazy, and the cached
-        :meth:`factor_row_layout` — a function of the structure alone —
-        is shared).  The :meth:`one_hot_blocks` marker is carried over,
-        as the patched model keeps the variable layout and penalties.
-
-        :class:`repro.qubo.streaming.CommunityQuboPatcher` computes
-        these arrays from an edge-event batch so that the patched model
-        is bit-exact versus a from-scratch
-        :func:`repro.qubo.builders.build_community_qubo` rebuild.
-        """
-        n = self.n_variables
-        model: "SparseQuboModel" = type(self).__new__(type(self))
-        if coupling is None:
-            model._coupling = self._coupling
-        elif isinstance(coupling, tuple):
-            data, indices, indptr = coupling
-            model._coupling = sparse.csr_matrix(
-                (data, indices, indptr), shape=(n, n)
-            )
-        else:
-            if coupling.shape != (n, n):
-                raise QuboError(
-                    f"patched coupling must have shape {(n, n)}, "
-                    f"got {coupling.shape}"
-                )
-            model._coupling = coupling.tocsr()
-        if effective_linear is None:
-            model._effective_linear = self._effective_linear
-        else:
-            linear = np.asarray(effective_linear, dtype=np.float64)
-            if linear.shape != (n,):
-                raise QuboError(
-                    f"patched effective_linear must have shape ({n},), "
-                    f"got {linear.shape}"
-                )
-            model._effective_linear = linear
-        model._offset = self._offset if offset is None else float(offset)
-        model._one_hot_blocks = self._one_hot_blocks
-
-        model._factor_matrix = self._factor_matrix
-        model._factor_matrix_t = self._factor_matrix_t
-        model._factor_matrix_csc = self._factor_matrix_csc
-        model._factor_row_layout = self._factor_row_layout
-        model._factor_coefficients = self._factor_coefficients
-        model._factor_diagonal = self._factor_diagonal
-        touched_factors = (
-            factor_data is not None
-            or factor_coefficients is not None
-            or factor_diagonal is not None
-        )
-        if touched_factors:
-            if self._factor_matrix is None:
-                raise QuboError(
-                    "cannot patch factors of a model built without them"
-                )
-            if factor_data is not None:
-                data = np.asarray(factor_data, dtype=np.float64)
-                if data.shape != self._factor_matrix.data.shape:
-                    raise QuboError(
-                        "patched factor_data must match the factor "
-                        f"structure ({self._factor_matrix.data.shape}), "
-                        f"got {data.shape}"
-                    )
-                f_mat = sparse.csr_matrix(
-                    (
-                        data,
-                        self._factor_matrix.indices,
-                        self._factor_matrix.indptr,
-                    ),
-                    shape=self._factor_matrix.shape,
-                )
-                model._factor_matrix = f_mat
-                model._factor_matrix_t = f_mat.T.tocsr()
-                model._factor_matrix_csc = None
-            if factor_coefficients is not None:
-                alpha = np.asarray(factor_coefficients, dtype=np.float64)
-                if alpha.shape != self._factor_coefficients.shape:
-                    raise QuboError(
-                        "patched factor_coefficients must have shape "
-                        f"{self._factor_coefficients.shape}, "
-                        f"got {alpha.shape}"
-                    )
-                model._factor_coefficients = alpha
-            if factor_diagonal is not None:
-                diag = np.asarray(factor_diagonal, dtype=np.float64)
-                if diag.shape != (n,):
-                    raise QuboError(
-                        "patched factor_diagonal must have shape "
-                        f"({n},), got {diag.shape}"
-                    )
-                model._factor_diagonal = diag
-        return model
 
     # ------------------------------------------------------------------
     # Conversions

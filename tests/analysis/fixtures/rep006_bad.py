@@ -3,8 +3,8 @@
 
 def replay(state, patcher, graph, batches):
     for events in batches:
-        graph, touched = graph.apply_updates(events)
-        model = patcher.update(graph, touched_nodes=touched)
+        graph, _ = graph.apply_updates(events)
+        model = patcher.update(graph)
         state.repatch(model)
     return state.energy
 

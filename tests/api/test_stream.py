@@ -201,7 +201,104 @@ class TestWarmStartSupport:
         assert "warm_start" not in a.result.metadata
 
 
+def frozen_track(self, labels):
+    """``_WarmModelState.track`` as a walk of single flips to ``labels``.
+
+    Frozen copy: the first in-range partition anchors a fresh
+    :class:`FlipDeltaState`; every later one is reached by flipping,
+    one bit at a time, each variable where the tracked assignment
+    differs from the target's one-hot encoding.
+    """
+    from repro.qubo import FlipDeltaState, labels_to_one_hot
+
+    arr = np.asarray(labels)
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self._k):
+        self._state = None
+        return
+    target = labels_to_one_hot(arr, self._k)
+    if self._state is None:
+        self._state = FlipDeltaState(self._qubo.model, target)
+        return
+    for index in np.nonzero(self._state.x != target)[0].tolist():
+        self._state.flip(int(index))
+
+
+def _sparse_stream_case():
+    """LFR n=300 at k=8 (2,400 variables) and six mixed event batches."""
+    from repro.graphs import lfr_graph
+
+    graph = lfr_graph(300, mixing=0.2, seed=11)[0]
+    rng = np.random.default_rng(5)
+    batches = []
+    current = graph
+    for _ in range(6):
+        edge_u, edge_v, _ = current.edge_arrays()
+        picks = rng.choice(edge_u.size, size=6, replace=False)
+        batch = [
+            ("delete", int(edge_u[i]), int(edge_v[i])) for i in picks[:3]
+        ]
+        batch += [
+            ("reweight", int(edge_u[i]), int(edge_v[i]),
+             float(rng.uniform(0.5, 2.0)))
+            for i in picks[3:]
+        ]
+        batch += [
+            ("insert", int(a), int(b), float(rng.uniform(0.5, 2.0)))
+            for a, b in rng.integers(0, 300, size=(4, 2))
+        ]
+        batches.append(batch)
+        current, _ = current.apply_updates(batch)
+    spec = {"solver": "greedy", "n_communities": 8, "seed": 0}
+    return graph, batches, spec
+
+
 class TestLabelTracking:
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_stream_matches_frozen_flip_walk(self, backend, monkeypatch):
+        """Re-anchoring the tracked state changes no batch's answer."""
+        from repro.api.stream import _WarmModelState
+        from repro.qubo import build_community_qubo
+
+        if backend == "dense":
+            graph, batches, spec = _graph(), UPDATES, SPEC
+        else:
+            graph, batches, spec = _sparse_stream_case()
+        k = spec["n_communities"]
+        assert build_community_qubo(graph, k).backend == backend
+
+        # The warm candidates are recorded too: where the cold solve
+        # wins every batch, they are the only output the tracked state
+        # reaches.
+        original_warm_labels = _WarmModelState.warm_labels
+
+        def run():
+            candidates = []
+
+            def recording(self, current):
+                labels = original_warm_labels(self, current)
+                candidates.append(None if labels is None else labels.tolist())
+                return labels
+
+            monkeypatch.setattr(_WarmModelState, "warm_labels", recording)
+            artifacts = list(api.detect_stream(graph, batches, spec))
+            return candidates, [
+                (
+                    a.result.labels.tolist(),
+                    a.result.modularity,
+                    a.result.metadata.get("warm_selected"),
+                )
+                for a in artifacts
+            ]
+
+        got = run()
+        monkeypatch.setattr(_WarmModelState, "track", frozen_track)
+        want = run()
+        assert len(got[1]) == len(batches)
+        assert got == want
+        assert all(labels is not None for labels in got[0][1:])
+        if backend == "sparse":
+            assert any(selected for _, _, selected in got[1])
+
     def test_out_of_range_labels_restart_trajectory(self):
         """Detectors emitting labels >= k cannot be one-hot tracked."""
         from repro.api.stream import _WarmModelState

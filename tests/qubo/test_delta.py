@@ -113,6 +113,30 @@ FACTOR_FACTORIES = [
 ]
 
 
+def _next_sparse_model(model):
+    """A fresh model on ``model``'s coupling and factor structure.
+
+    The stream's case: every event batch builds a new model whose
+    factor rows keep their columns while the factor data,
+    coefficients and linear term change.
+    """
+    factors = None
+    terms = model.factor_terms()
+    if terms is not None:
+        alpha, f_csr, _, _ = terms
+        data = sparse.csr_matrix(
+            (f_csr.data * 1.5 - 0.25, f_csr.indices, f_csr.indptr),
+            shape=f_csr.shape,
+        )
+        factors = (alpha * 0.75 + 0.125, data, np.full(alpha.shape, -0.5))
+    return SparseQuboModel(
+        model.coupling,
+        np.asarray(model.effective_linear) + 0.25,
+        model.offset,
+        factors=factors,
+    )
+
+
 class FrozenFlipState:
     """``FlipDeltaState.flip`` / ``best_flip`` before strided factor rows.
 
@@ -570,12 +594,13 @@ class TestRepatch:
         state = FlipDeltaState(model, x)
         for _ in range(5):
             state.flip(int(rng.integers(model.n_variables)))
-        shifted = np.asarray(model.effective_linear) + 0.25
         if isinstance(model, SparseQuboModel):
-            patched = model.patch(effective_linear=shifted)
+            patched = _next_sparse_model(model)
         else:
             patched = QuboModel(
-                np.asarray(model.coupling), shifted, model.offset
+                np.asarray(model.coupling),
+                np.asarray(model.effective_linear) + 0.25,
+                model.offset,
             )
         state.repatch(patched)
         reference = FlipDeltaState(patched, state.x)
@@ -682,9 +707,9 @@ class TestFrozenKernelContract:
         model = _factor_model(1)
         layout = model.factor_row_layout()
         assert model.factor_row_layout() is layout
-        alpha = model.factor_terms()[0]
-        patched = model.patch(factor_coefficients=alpha * 2.0)
-        assert patched.factor_row_layout() is layout
+        np.testing.assert_array_equal(
+            _next_sparse_model(model).factor_row_layout(), layout
+        )
         assert _sparse_model(0).factor_row_layout() is None
 
 
@@ -819,24 +844,11 @@ class TestLiveRowDescentContract:
 class TestFlipsAfterFactorRepatch:
     """Flips on a state repatched onto new factor data and coefficients.
 
-    ``SparseQuboModel.patch`` shares every array it is not handed, so
-    anything a state derives from the factors at bind time must be
-    rebuilt by ``repatch`` — the stream flips on exactly such states.
+    The stream builds a new model every batch with the same factor
+    structure, so anything a state derives from the factors at bind
+    time must be rebuilt by ``repatch`` — the stream flips on exactly
+    such states.
     """
-
-    @staticmethod
-    def _factor_patch(model):
-        alpha, f_csr, _, _ = model.factor_terms()
-        data = f_csr.data * 1.5 - 0.25
-        coefficients = alpha * 0.75 + 0.125
-        squared = sparse.csr_matrix(
-            (data * data, f_csr.indices, f_csr.indptr), shape=f_csr.shape
-        )
-        return model.patch(
-            factor_data=data,
-            factor_coefficients=coefficients,
-            factor_diagonal=np.asarray(squared.T @ coefficients).ravel(),
-        )
 
     @pytest.mark.parametrize("factory", FACTOR_FACTORIES)
     def test_single_state_flips_match_fresh_state(self, factory):
@@ -848,7 +860,7 @@ class TestFlipsAfterFactorRepatch:
         )
         for _ in range(20):
             state.flip(int(rng.integers(n)))
-        patched = self._factor_patch(model)
+        patched = _next_sparse_model(model)
         state.repatch(patched)
         fresh = FlipDeltaState(patched, state.x)
         for index in rng.integers(0, n, size=50).tolist():
