@@ -191,8 +191,9 @@ def detect_stream(
         closing it stops the stream); ``None`` uses the process-wide
         :func:`repro.api.default_session`.
     warm_start:
-        ``True`` (default) maintains the incremental QUBO + flip-delta
-        state and warm-starts every detector run with the polished
+        ``True`` (default) maintains the stream's QUBO (penalties
+        pinned at the first batch) and flip-delta state and
+        warm-starts every detector run with the polished
         previous partition; ``False`` runs each batch cold (the graph
         still advances incrementally).
 

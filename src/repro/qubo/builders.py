@@ -426,14 +426,12 @@ def _build_sparse(
     g_indptr, g_indices, g_weights = graph.csr()
     row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(g_indptr))
     loops = g_indices == row_of
-    vals: np.ndarray | None = None
     if modularity:
         vals = (-modularity_weight / two_m) * g_weights
-    if cut_weight > 0:
-        cut = -cut_weight * g_weights
-        vals = cut if vals is None else vals + cut
-    if vals is None:
+    else:
         vals = np.zeros_like(g_weights)
+    if cut_weight > 0:
+        vals = vals + -cut_weight * g_weights
     keep = ~loops & (vals != 0.0)
     kcum = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(keep, out=kcum[1:])

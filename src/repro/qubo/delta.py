@@ -117,8 +117,7 @@ def _factor_slots(model: BaseQubo) -> tuple | None:
     diagonal for the self-coupling correction, the model's cached
     :meth:`~repro.qubo.SparseQuboModel.factor_row_layout`, and
     ``alpha_t f_ti`` per CSC entry.  The weights are formed here, once
-    per bind; the stream binds each batch's freshly built model once,
-    through :meth:`FlipDeltaState.repatch`.
+    per bind: at construction and at :meth:`FlipDeltaState.repatch`.
     """
     factors = _factor_terms_of(model)
     if factors is None:
